@@ -130,7 +130,6 @@ int main(int argc, char** argv) {
   const uint64_t seed =
       static_cast<uint64_t>(std::atoll(FlagValue(argc, argv, "--seed", "29")));
   const bool assert_match = HasFlag(argc, argv, "--assert-match");
-  const bool pooling = HasFlag(argc, argv, "--pooling");
   const std::string metrics_out = FlagValue(argc, argv, "--metrics-out", "");
 
   SyntheticConfig cfg;
@@ -175,7 +174,6 @@ int main(int argc, char** argv) {
   model.params = zoo->params()->Snapshot();
 
   StreamOptions stream_options;
-  stream_options.refresh.pooling = pooling;
   stream_options.reorder = reorder;
   stream_options.reorder_seed = seed;
   auto server_or = StreamingServer::Create(graph, model, stream_options);

@@ -4,29 +4,10 @@
 #include <utility>
 
 #include "obs/trace.h"
-#include "tensor/pool.h"
 #include "util/bitset.h"
 #include "util/logging.h"
 
 namespace ahg::dyn {
-
-namespace {
-
-// D_next = seed ∪ N(D): every bit of `seed`, plus each adjacency-row
-// neighborhood of the bits in `frontier`. The symmetric self-looped
-// adjacency makes N(D) ⊇ D.
-DynamicBitset ExpandDirty(const DeltaCsr& adj, const DynamicBitset& frontier,
-                          const std::vector<int>& seed) {
-  DynamicBitset next(adj.rows());
-  for (int r : seed) next.Set(r);
-  for (int r : frontier.ToSortedVector()) {
-    const DeltaCsr::RowRef row = adj.Row(r);
-    for (int64_t e = 0; e < row.nnz; ++e) next.Set(row.cols[e]);
-  }
-  return next;
-}
-
-}  // namespace
 
 Matrix DenseLayerTransform(const Matrix& agg, const Matrix& w, const Matrix& b,
                            bool relu) {
@@ -44,57 +25,85 @@ Matrix DenseLayerTransform(const Matrix& agg, const Matrix& w, const Matrix& b,
   return h;
 }
 
-std::vector<std::vector<int>> PerLayerDirtyRows(const ModelConfig& config,
-                                                const DeltaCsr& adj,
-                                                const BatchDelta& delta) {
-  // D_0 seeds from the feature-dirty rows; every level adds the
-  // adjacency-dirty rows and one hop of neighborhood.
-  std::vector<std::vector<int>> dirty_rows(config.num_layers);
-  DynamicBitset frontier(adj.rows());
-  for (int r : delta.dirty_feature_rows) frontier.Set(r);
-  for (int l = 0; l < config.num_layers; ++l) {
-    if (config.family == ModelFamily::kSgc && l == 0) {
-      // SGC's linear map is row-local: Z rows dirty == feature-dirty
-      // rows; the hop expansion starts at the first propagation.
-      dirty_rows[l] = delta.dirty_feature_rows;
-      continue;
+std::vector<Stage> LowerStages(const ModelConfig& config,
+                               std::vector<Matrix> layer_params) {
+  AHG_CHECK_MSG(IncrementalPropagator::Supports(config),
+                "stage plans exist for kGcn and kSgc only");
+  AHG_CHECK_GT(config.num_layers, 0);
+  auto transform = [&](int i, int in, bool hop, bool relu) {
+    AHG_CHECK_EQ(layer_params[2 * i].rows(), in);
+    AHG_CHECK_EQ(layer_params[2 * i].cols(), config.hidden_dim);
+    AHG_CHECK_EQ(layer_params[2 * i + 1].cols(), config.hidden_dim);
+    return Stage{hop, std::move(layer_params[2 * i]),
+                 std::move(layer_params[2 * i + 1]), relu};
+  };
+  std::vector<Stage> stages;
+  if (config.family == ModelFamily::kGcn) {
+    AHG_CHECK_EQ(static_cast<int>(layer_params.size()), 2 * config.num_layers);
+    for (int l = 0; l < config.num_layers; ++l) {
+      stages.push_back(transform(l, l == 0 ? config.in_dim : config.hidden_dim,
+                                 /*hop=*/true, /*relu=*/true));
     }
-    frontier = ExpandDirty(adj, frontier, delta.dirty_adj_rows);
-    dirty_rows[l] = frontier.ToSortedVector();
+  } else {  // kSgc: one linear map, then repeated propagation.
+    AHG_CHECK_EQ(static_cast<int>(layer_params.size()), 2);
+    stages.push_back(transform(0, config.in_dim, /*hop=*/false, /*relu=*/false));
+    for (int k = 0; k < config.num_layers; ++k) {
+      stages.push_back(Stage{/*hop=*/true, {}, {}, /*relu=*/false});
+    }
   }
-  // SGC propagates num_layers times after the map; fold the map level in
-  // by treating it as level 0 above and expanding the remaining hops.
-  if (config.family == ModelFamily::kSgc) {
-    dirty_rows.resize(config.num_layers + 1);
-    frontier = ExpandDirty(adj, frontier, delta.dirty_adj_rows);
-    dirty_rows[config.num_layers] = frontier.ToSortedVector();
+  return stages;
+}
+
+void RunStage(const Stage& stage, const DeltaCsr& adj, const Matrix& prev,
+              const std::vector<int>* rows, Matrix* out) {
+  const bool all = rows == nullptr;
+  if (!all && rows->empty()) return;
+  Matrix h;
+  if (stage.hop) {
+    h = all ? adj.Spmm(prev) : adj.SpmmRows(*rows, prev);
+  } else if (!all) {
+    h = GatherRows(prev, *rows);
   }
-  return dirty_rows;
+  if (!stage.w.empty()) {
+    // A full non-hop stage reads `prev` in place; otherwise `h` holds the
+    // hop's aggregate or the gathered rows.
+    h = DenseLayerTransform(stage.hop || !all ? h : prev, stage.w, stage.b,
+                            stage.relu);
+  }
+  if (all) {
+    *out = std::move(h);
+  } else {
+    ScatterRows(h, *rows, out);
+  }
+}
+
+std::vector<std::vector<int>> StageDirtyRows(const std::vector<Stage>& stages,
+                                             const DeltaCsr& adj,
+                                             const BatchDelta& delta) {
+  std::vector<std::vector<int>> dirty;
+  dirty.reserve(stages.size());
+  std::vector<int> rows = delta.dirty_feature_rows;
+  for (const Stage& stage : stages) {
+    if (stage.hop) {  // adj-dirty ∪ N(rows)
+      DynamicBitset next(adj.rows());
+      for (int r : delta.dirty_adj_rows) next.Set(r);
+      for (int r : rows) {
+        const DeltaCsr::RowRef row = adj.Row(r);
+        for (int64_t e = 0; e < row.nnz; ++e) next.Set(row.cols[e]);
+      }
+      rows = next.ToSortedVector();
+    }
+    dirty.push_back(rows);
+  }
+  return dirty;
 }
 
 IncrementalPropagator::IncrementalPropagator(const ModelConfig& config,
                                              std::vector<Matrix> layer_params,
                                              const RefreshOptions& options)
-    : config_(config), params_(std::move(layer_params)), options_(options) {
-  AHG_CHECK_MSG(Supports(config),
-                "IncrementalPropagator supports kGcn and kSgc only");
-  AHG_CHECK_GT(config.num_layers, 0);
-  if (config.family == ModelFamily::kGcn) {
-    AHG_CHECK_EQ(static_cast<int>(params_.size()), 2 * config.num_layers);
-    int in = config.in_dim;
-    for (int l = 0; l < config.num_layers; ++l) {
-      AHG_CHECK_EQ(params_[2 * l].rows(), in);
-      AHG_CHECK_EQ(params_[2 * l].cols(), config.hidden_dim);
-      AHG_CHECK_EQ(params_[2 * l + 1].cols(), config.hidden_dim);
-      in = config.hidden_dim;
-    }
-  } else {
-    AHG_CHECK_EQ(static_cast<int>(params_.size()), 2);
-    AHG_CHECK_EQ(params_[0].rows(), config.in_dim);
-    AHG_CHECK_EQ(params_[0].cols(), config.hidden_dim);
-    AHG_CHECK_EQ(params_[1].cols(), config.hidden_dim);
-  }
-}
+    : config_(config),
+      stages_(LowerStages(config, std::move(layer_params))),
+      options_(options) {}
 
 bool IncrementalPropagator::Supports(const ModelConfig& config) {
   return config.family == ModelFamily::kGcn ||
@@ -102,35 +111,19 @@ bool IncrementalPropagator::Supports(const ModelConfig& config) {
 }
 
 std::vector<Matrix> IncrementalPropagator::ComputeStates(
-    const GraphSnapshot& snap, Matrix x) const {
-  const DeltaCsr& adj = snap.adjacency();
-  std::vector<Matrix> states;
-  states.reserve(config_.num_layers + 2);
-  states.push_back(std::move(x));
-  if (config_.family == ModelFamily::kGcn) {
-    for (int l = 0; l < config_.num_layers; ++l) {
-      Matrix agg = adj.Spmm(states.back());
-      states.push_back(DenseLayerTransform(agg, params_[2 * l], params_[2 * l + 1],
-                                      /*relu=*/true));
-    }
-  } else {  // kSgc: one linear map, then repeated propagation.
-    states.push_back(
-        DenseLayerTransform(states[0], params_[0], params_[1], /*relu=*/false));
-    for (int l = 0; l < config_.num_layers; ++l) {
-      states.push_back(adj.Spmm(states.back()));
-    }
+    const GraphSnapshot& snap) const {
+  AHG_CHECK_EQ(snap.feature_dim(), config_.in_dim);
+  std::vector<Matrix> states(stages_.size() + 1);
+  states[0] = snap.DenseFeatures();
+  for (size_t s = 0; s < stages_.size(); ++s) {
+    RunStage(stages_[s], snap.adjacency(), states[s], nullptr, &states[s + 1]);
   }
   return states;
 }
 
 RefreshStats IncrementalPropagator::FullRefresh(const GraphSnapshot& snap) {
   AHG_TRACE_SPAN_ARG("dyn/full_refresh", snap.num_nodes());
-  // Pool stays warm across refreshes (no arena trim): a streaming workload
-  // reuses the same layer-state and scratch shapes every batch. Fusion is
-  // left as the caller set it — this path runs raw kernels, not autodiff.
-  ScopedMemPlane mem_plane(options_.pooling, FusionEnabled());
-  AHG_CHECK_EQ(snap.feature_dim(), config_.in_dim);
-  states_ = ComputeStates(snap, snap.DenseFeatures());
+  states_ = ComputeStates(snap);
   hidden_ = std::make_shared<const Matrix>(states_.back());
   has_state_ = true;
   version_ = snap.version();
@@ -156,14 +149,13 @@ StatusOr<RefreshStats> IncrementalPropagator::Refresh(
   }
   AHG_TRACE_SPAN_ARG("dyn/incremental_refresh",
                      static_cast<int64_t>(delta.dirty_adj_rows.size()));
-  ScopedMemPlane mem_plane(options_.pooling, FusionEnabled());
   const DeltaCsr& adj = snap.adjacency();
   const int n = snap.num_nodes();
 
-  // Expand the per-layer dirty sets first — pure bitset work, no matrix
+  // Expand the per-stage dirty sets first — pure bitset work, no matrix
   // math — so the full-recompute fallback can trigger before any flops.
   const std::vector<std::vector<int>> dirty_rows =
-      PerLayerDirtyRows(config_, adj, delta);
+      StageDirtyRows(stages_, adj, delta);
   const std::vector<int>& final_dirty = dirty_rows.back();
   const double fraction =
       n > 0 ? static_cast<double>(final_dirty.size()) / n : 0.0;
@@ -186,31 +178,9 @@ StatusOr<RefreshStats> IncrementalPropagator::Refresh(
   stats.version = snap.version();
   stats.final_dirty_rows = static_cast<int>(final_dirty.size());
   stats.dirty_fraction = fraction;
-  if (config_.family == ModelFamily::kGcn) {
-    for (int l = 0; l < config_.num_layers; ++l) {
-      const std::vector<int>& rows = dirty_rows[l];
-      if (rows.empty()) continue;
-      Matrix agg = adj.SpmmRows(rows, states_[l]);
-      Matrix h = DenseLayerTransform(agg, params_[2 * l], params_[2 * l + 1],
-                                /*relu=*/true);
-      ScatterRows(h, rows, &states_[l + 1]);
-      stats.rows_refreshed += static_cast<int64_t>(rows.size());
-    }
-  } else {  // kSgc
-    const std::vector<int>& z_rows = dirty_rows[0];
-    if (!z_rows.empty()) {
-      Matrix z = DenseLayerTransform(GatherRows(states_[0], z_rows), params_[0],
-                                params_[1], /*relu=*/false);
-      ScatterRows(z, z_rows, &states_[1]);
-      stats.rows_refreshed += static_cast<int64_t>(z_rows.size());
-    }
-    for (int l = 0; l < config_.num_layers; ++l) {
-      const std::vector<int>& rows = dirty_rows[l + 1];
-      if (rows.empty()) continue;
-      Matrix h = adj.SpmmRows(rows, states_[l + 1]);
-      ScatterRows(h, rows, &states_[l + 2]);
-      stats.rows_refreshed += static_cast<int64_t>(rows.size());
-    }
+  for (size_t s = 0; s < stages_.size(); ++s) {
+    RunStage(stages_[s], adj, states_[s], &dirty_rows[s], &states_[s + 1]);
+    stats.rows_refreshed += static_cast<int64_t>(dirty_rows[s].size());
   }
   hidden_ = std::make_shared<const Matrix>(states_.back());
   version_ = snap.version();
@@ -236,9 +206,7 @@ void IncrementalPropagator::ApplyReorder(const std::vector<int>& remap,
 }
 
 Matrix IncrementalPropagator::ComputeFull(const GraphSnapshot& snap) const {
-  AHG_CHECK_EQ(snap.feature_dim(), config_.in_dim);
-  std::vector<Matrix> states = ComputeStates(snap, snap.DenseFeatures());
-  return std::move(states.back());
+  return std::move(ComputeStates(snap).back());
 }
 
 }  // namespace ahg::dyn

@@ -1,8 +1,8 @@
 // In-process mailbox exchanging boundary hidden-state rows between parts.
 //
-// At every propagation layer each part computes only its OWNED rows; the
-// halo rows it reads at the next layer are produced by their owner parts
-// and delivered here. Each halo row has exactly one producer (its owning
+// At every propagation stage each part computes only its OWNED rows; the
+// halo rows a hop stage reads are produced by their owner parts and
+// delivered here right before the hop. Each halo row has exactly one producer (its owning
 // part), so delivery is a copy, not a reduction — but the merge order is
 // still fixed by contract: DeliverHalo drains source parts in ascending
 // part id and writes rows in ascending global id. Holding the order fixed
@@ -11,8 +11,8 @@
 // the fixed-reduction-order discipline DESIGN.md describes, and the reason
 // the partitioned forward is memcmp-identical to the lone engine.
 //
-// Not thread-safe: the engine serializes its layer loop (post all parts,
-// then deliver all parts) on one thread; the SpMM inside each layer is
+// Not thread-safe: the engine serializes its stage loop (post all parts,
+// then deliver all parts) on one thread; the SpMM inside each stage is
 // where the thread pool parallelism lives.
 #ifndef AUTOHENS_PARTITION_HALO_EXCHANGE_H_
 #define AUTOHENS_PARTITION_HALO_EXCHANGE_H_
@@ -37,12 +37,10 @@ class HaloExchange {
 
   // Gathers the boundary rows of part p's state (n_local x dim) — the owned
   // rows some other part holds as halo — into that consumer's mailbox.
-  void PostBoundary(int p, const Matrix& state);
-
-  // Like PostBoundary but posts only boundary rows whose global id is in
-  // `dirty_globals` (sorted ascending) — the incremental-refresh path.
-  void PostBoundaryDirty(int p, const Matrix& state,
-                         const std::vector<int>& dirty_globals);
+  // With `dirty_globals` (sorted ascending), only boundary rows whose
+  // global id is in it are posted — the incremental-refresh path.
+  void PostBoundary(int p, const Matrix& state,
+                    const std::vector<int>* dirty_globals = nullptr);
 
   // Merges every mailbox posted for part q into its halo rows: source parts
   // in ascending part id, rows in ascending global id. Clears q's mailbox.

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <utility>
 
-#include "dyn/incremental.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/inference_engine.h"
@@ -14,10 +13,6 @@
 namespace ahg::partition {
 
 namespace {
-
-// Dirty fraction beyond which a version is recomputed from scratch instead
-// of refreshed row-by-row (same threshold as dyn::RefreshOptions default).
-constexpr double kFullRecomputeFraction = 0.5;
 
 std::vector<int> SortedUnion(const std::vector<int>& a,
                              const std::vector<int>& b) {
@@ -74,17 +69,6 @@ StatusOr<std::unique_ptr<PartitionedEngine>> PartitionedEngine::CreateFromPlan(
       new PartitionedEngine(std::move(plan), graph));
 }
 
-bool PartitionedEngine::Supports(const ModelConfig& config) {
-  return config.family == ModelFamily::kGcn ||
-         config.family == ModelFamily::kSgc;
-}
-
-int PartitionedEngine::NumStages(const ModelConfig& config) {
-  // GCN stage s = H^(s); SGC stage 1 = Z = XW + b, stages 2..L+1 = A^k Z.
-  return config.family == ModelFamily::kGcn ? config.num_layers
-                                            : config.num_layers + 1;
-}
-
 bool PartitionedEngine::HasHalo() const {
   for (const PartitionPlan::Part& part : plan_.parts) {
     if (!part.halo_globals.empty()) return true;
@@ -119,77 +103,74 @@ int64_t PartitionedEngine::PartResidentBytes(int p) const {
   return bytes;
 }
 
-void PartitionedEngine::ComputeStageRows(VersionState* vs, int p, int s,
-                                         const std::vector<int>& rows) {
-  if (rows.empty()) return;
-  const PartitionPlan::Part& part = plan_.parts[p];
-  Matrix& state = vs->states[p][s - 1];
-  if (vs->config.family == ModelFamily::kGcn) {
-    const Matrix& prev = s == 1 ? feats_[p] : vs->states[p][s - 2];
-    Matrix agg = part.adj.SpmmRows(rows, prev);
-    Matrix h = dyn::DenseLayerTransform(agg, vs->layer_params[2 * (s - 1)],
-                                        vs->layer_params[2 * (s - 1) + 1],
-                                        /*relu=*/true);
-    ScatterRows(h, rows, &state);
-  } else if (s == 1) {  // kSgc linear map: row-local, reads features.
-    Matrix z = dyn::DenseLayerTransform(GatherRows(feats_[p], rows),
-                                        vs->layer_params[0], vs->layer_params[1],
-                                        /*relu=*/false);
-    ScatterRows(z, rows, &state);
-  } else {  // kSgc propagation hop.
-    Matrix h = part.adj.SpmmRows(rows, vs->states[p][s - 2]);
-    ScatterRows(h, rows, &state);
+void PartitionedEngine::RunStagesLocked(
+    VersionState* vs, const std::vector<std::vector<int>>* dirty,
+    const std::vector<int>& forced) {
+  const int P = plan_.num_parts;
+  const bool exchange = HasHalo();
+  for (size_t s = 0; s < vs->stages.size(); ++s) {
+    const dyn::Stage& stage = vs->stages[s];
+    // Exchange-before-hop: the hop reads halo rows of state s - 1, which
+    // their owners computed at stage s - 1. Fixed order: post all parts
+    // ascending, then deliver all parts ascending. Features (stage 0's
+    // input) are never exchanged: every part holds its halo feature rows.
+    if (stage.hop && s > 0 && exchange) {
+      std::vector<int> post;
+      if (dirty != nullptr) post = SortedUnion((*dirty)[s - 1], forced);
+      for (int p = 0; p < P; ++p) {
+        exchange_.PostBoundary(p, vs->states[p][s - 1],
+                               dirty == nullptr ? nullptr : &post);
+      }
+      for (int p = 0; p < P; ++p) {
+        exchange_.DeliverHalo(p, &vs->states[p][s - 1]);
+      }
+    }
+    for (int p = 0; p < P; ++p) {
+      const PartitionPlan::Part& part = plan_.parts[p];
+      std::vector<int> rows;  // owned dirty rows, ascending local == global
+      if (dirty != nullptr) {
+        for (int g : (*dirty)[s]) {
+          if (plan_.part_of[g] == p) rows.push_back(part.local_of.at(g));
+        }
+      }
+      dyn::RunStage(stage, part.adj, s == 0 ? feats_[p] : vs->states[p][s - 1],
+                    dirty == nullptr ? &part.owned_locals : &rows,
+                    &vs->states[p][s]);
+    }
   }
 }
 
 void PartitionedEngine::RecomputeLocked(VersionState* vs) {
-  const int P = plan_.num_parts;
-  const int S = NumStages(vs->config);
-  vs->states.assign(P, {});
-  for (int p = 0; p < P; ++p) {
-    vs->states[p].reserve(S);
-    for (int s = 0; s < S; ++s) {
+  vs->states.assign(plan_.num_parts, {});
+  for (int p = 0; p < plan_.num_parts; ++p) {
+    for (size_t s = 0; s < vs->stages.size(); ++s) {
       vs->states[p].emplace_back(plan_.parts[p].num_local(),
                                  vs->config.hidden_dim);
     }
   }
-  const bool exchange = HasHalo();
-  for (int s = 1; s <= S; ++s) {
-    for (int p = 0; p < P; ++p) {
-      ComputeStageRows(vs, p, s, plan_.parts[p].owned_locals);
-    }
-    if (!exchange) continue;
-    // Fixed order: post all parts ascending, then deliver all parts
-    // ascending — the halo rows of stage s are in place before any part
-    // reads them at stage s + 1.
-    for (int p = 0; p < P; ++p) exchange_.PostBoundary(p, vs->states[p][s - 1]);
-    for (int p = 0; p < P; ++p) exchange_.DeliverHalo(p, &vs->states[p][s - 1]);
-  }
+  RunStagesLocked(vs, /*dirty=*/nullptr, /*forced=*/{});
 }
 
 Status PartitionedEngine::WarmLocked(const serve::ServableModel& model) {
   if (versions_.count(model.version) != 0) return Status::OK();
   AHG_TRACE_SPAN_ARG("partition/warm", model.version);
-  if (!Supports(model.config)) {
+  if (!dyn::IncrementalPropagator::Supports(model.config)) {
     return Status::InvalidArgument(
-        "partitioned engine supports kGcn and kSgc model families only");
+        StrFormat("model family %s has no stage plan",
+                  ModelFamilyName(model.config.family)));
   }
+  Status valid = serve::ValidateServableModel(model);
+  if (!valid.ok()) return valid;
   if (model.config.in_dim != feature_dim_) {
     return Status::InvalidArgument(
         StrFormat("model in_dim %d does not match graph feature_dim %d",
                   model.config.in_dim, feature_dim_));
   }
-  const int expected =
-      model.config.family == ModelFamily::kGcn ? 2 * model.config.num_layers + 2
-                                               : 4;
-  if (static_cast<int>(model.params.size()) != expected) {
-    return Status::InvalidArgument(
-        StrFormat("model has %d param tensors, family expects %d",
-                  static_cast<int>(model.params.size()), expected));
-  }
   VersionState vs;
   vs.config = model.config;
-  vs.layer_params.assign(model.params.begin(), model.params.end() - 2);
+  vs.stages = dyn::LowerStages(
+      model.config,
+      std::vector<Matrix>(model.params.begin(), model.params.end() - 2));
   RecomputeLocked(&vs);
   versions_.emplace(model.version, std::move(vs));
   return Status::OK();
@@ -466,9 +447,9 @@ Status PartitionedEngine::ApplyDelta(const dyn::GraphSnapshot& snap,
   }
 
   // 6. Forced halo set: globals some part now holds as halo but whose
-  // hidden states it has never received. For GCN every such node is in
-  // every dirty level (its adjacency row changed), but SGC's Z level is
-  // feature-dirty only — so the union is forced into every post set.
+  // states it has never received. A hop stage's dirty set holds every such
+  // node (its adjacency row changed), but a non-hop stage's need not (SGC's
+  // Z is feature-dirty only) — so the union joins every exchange.
   std::vector<int> forced;
   for (int p = 0; p < P; ++p) {
     forced.insert(forced.end(), new_halo[p].begin(), new_halo[p].end());
@@ -476,38 +457,17 @@ Status PartitionedEngine::ApplyDelta(const dyn::GraphSnapshot& snap,
   std::sort(forced.begin(), forced.end());
   forced.erase(std::unique(forced.begin(), forced.end()), forced.end());
 
-  // 7. Refresh every warmed version over the per-layer dirty sets.
-  const bool exchange = HasHalo();
+  // 7. Refresh every warmed version over its per-stage dirty sets.
   for (auto& [version, vs] : versions_) {
     (void)version;
     const std::vector<std::vector<int>> dirty =
-        dyn::PerLayerDirtyRows(vs.config, gadj, delta);
+        dyn::StageDirtyRows(vs.stages, gadj, delta);
     const double fraction =
         n_new > 0 ? static_cast<double>(dirty.back().size()) / n_new : 0.0;
-    if (fraction > kFullRecomputeFraction) {
+    if (fraction > dyn::RefreshOptions{}.full_refresh_fraction) {
       RecomputeLocked(&vs);
-      continue;
-    }
-    const int S = NumStages(vs.config);
-    AHG_CHECK_EQ(static_cast<int>(dirty.size()), S);
-    for (int s = 1; s <= S; ++s) {
-      const std::vector<int>& level = dirty[s - 1];
-      for (int p = 0; p < P; ++p) {
-        std::vector<int> rows;  // owned dirty rows, ascending local == global
-        const PartitionPlan::Part& part = plan_.parts[p];
-        for (int g : level) {
-          if (plan_.part_of[g] == p) rows.push_back(part.local_of.at(g));
-        }
-        ComputeStageRows(&vs, p, s, rows);
-      }
-      if (!exchange) continue;
-      const std::vector<int> post = SortedUnion(level, forced);
-      for (int p = 0; p < P; ++p) {
-        exchange_.PostBoundaryDirty(p, vs.states[p][s - 1], post);
-      }
-      for (int p = 0; p < P; ++p) {
-        exchange_.DeliverHalo(p, &vs.states[p][s - 1]);
-      }
+    } else {
+      RunStagesLocked(&vs, &dirty, forced);
     }
   }
 

@@ -403,6 +403,42 @@ TEST(IncrementalTest, FallsBackToFullRefreshWhenMostRowsDirty) {
   EXPECT_TRUE(BitwiseEqual(*prop.hidden(), prop.ComputeFull(snap)));
 }
 
+// The per-stage dirty rule on the path 0-1-2-3-4-5-6, where N(r) =
+// {r-1, r, r+1}: the chain starts from the feature-dirty rows, a hop stage's
+// set is adj-dirty ∪ N(previous set), and a non-hop stage (SGC's linear map)
+// keeps the previous set.
+TEST(IncrementalTest, StageDirtyRowsFollowThePerStageRule) {
+  std::vector<Edge> edges;
+  for (int v = 0; v + 1 < 7; ++v) edges.push_back({v, v + 1});
+  Graph path = Graph::Create(7, std::move(edges), /*directed=*/false,
+                             Matrix(7, 6), std::vector<int>(7, 0),
+                             /*num_classes=*/3);
+  auto snap = GraphSnapshot::FromGraph(path);
+  ASSERT_TRUE(snap.ok());
+  struct Case {
+    ModelFamily family;
+    std::vector<int> feature_dirty;
+    std::vector<int> adj_dirty;
+    std::vector<std::vector<int>> expected;  // one sorted set per stage
+  };
+  const Case kCases[] = {
+      {ModelFamily::kGcn, {3}, {}, {{2, 3, 4}, {1, 2, 3, 4, 5}}},
+      {ModelFamily::kGcn, {}, {3}, {{3}, {2, 3, 4}}},
+      {ModelFamily::kSgc, {3}, {}, {{3}, {2, 3, 4}, {1, 2, 3, 4, 5}}},
+      {ModelFamily::kSgc, {}, {3}, {{}, {3}, {2, 3, 4}}},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(ModelFamilyName(c.family));
+    serve::ServableModel model = MakeServable(path, 1, c.family);
+    BatchDelta delta;
+    delta.dirty_feature_rows = c.feature_dirty;
+    delta.dirty_adj_rows = c.adj_dirty;
+    EXPECT_EQ(StageDirtyRows(LowerStages(model.config, LayerParams(model)),
+                             snap.value().adjacency(), delta),
+              c.expected);
+  }
+}
+
 TEST(IncrementalTest, UnsupportedFamiliesAreGated) {
   ModelConfig config;
   config.family = ModelFamily::kGat;

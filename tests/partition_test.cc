@@ -318,6 +318,36 @@ TEST(PartitionedEngineTest, RejectsUnsupportedFamiliesAndBadNodes) {
             Status::Code::kInvalidArgument);
 }
 
+TEST(PartitionedEngineTest, WarmRejectsMisShapedModel) {
+  Graph graph = Sbm(31, 40);
+  auto engine = PartitionedEngine::Create(graph, 2);
+  ASSERT_TRUE(engine.ok());
+  serve::ServableModel gcn = MakeServable(graph, 1, ModelFamily::kGcn, 35);
+  gcn.params[2] = Matrix(9, 8);  // W_2 of a hidden-8 GCN is 8x8
+  EXPECT_EQ(engine.value()->Warm(gcn).code(), Status::Code::kInvalidArgument);
+}
+
+// Halo rows are exchanged only right before a hop reads them, and only
+// owned rows of the last state are ever read, so a warm-up exchanges every
+// state but the last: GCN-2 has 2 stages, SGC-2 has 3 (linear map + 2 hops).
+TEST(PartitionedEngineTest, LastStageIsNeverExchanged) {
+  Graph graph = Sbm(37, 96);
+  const struct {
+    ModelFamily family;
+    int num_stages;
+  } kCases[] = {{ModelFamily::kGcn, 2}, {ModelFamily::kSgc, 3}};
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(ModelFamilyName(c.family));
+    auto engine = PartitionedEngine::Create(graph, 2);
+    ASSERT_TRUE(engine.ok());
+    ASSERT_GT(engine.value()->plan().halo_nodes_total, 0);
+    ASSERT_TRUE(
+        engine.value()->Warm(MakeServable(graph, 1, c.family, 38)).ok());
+    EXPECT_EQ(engine.value()->rows_exchanged(),
+              (c.num_stages - 1) * engine.value()->plan().halo_nodes_total);
+  }
+}
+
 // --- Dynamic conformance ---------------------------------------------------
 
 TEST(PartitionDynamicTest, ApplyDeltaMatchesColdEngineOnMaterializedGraph) {
