@@ -218,8 +218,12 @@ StatusOr<TrainedEnsemble> TrainedEnsemble::Load(const std::string& dir) {
     if (parts.empty() || parts[0] != "beta") {
       return Status::InvalidArgument("manifest must start with beta row");
     }
+    ensemble.beta_.resize(parts.size() - 1);
     for (size_t i = 1; i < parts.size(); ++i) {
-      ensemble.beta_.push_back(std::stod(parts[i]));
+      if (!ParseDouble(parts[i], &ensemble.beta_[i - 1])) {
+        return Status::InvalidArgument("malformed beta in manifest: " +
+                                       parts[i]);
+      }
     }
   }
   while (std::getline(manifest, line)) {
@@ -228,13 +232,15 @@ StatusOr<TrainedEnsemble> TrainedEnsemble::Load(const std::string& dir) {
     if (parts.size() != 3) {
       return Status::InvalidArgument("malformed manifest row: " + line);
     }
+    Member member;
+    if (!ParseInt(parts[1], &member.pool_index) ||
+        !ParseInt(parts[2], &member.num_classes)) {
+      return Status::InvalidArgument("malformed manifest row: " + line);
+    }
     auto loaded = LoadModel(dir + "/" + parts[0]);
     if (!loaded.ok()) return loaded.status();
-    Member member;
     member.config = loaded.value().config;
     member.params = std::move(loaded.value().params);
-    member.pool_index = std::stoi(parts[1]);
-    member.num_classes = std::stoi(parts[2]);
     if (member.pool_index < 0 ||
         member.pool_index >= static_cast<int>(ensemble.beta_.size())) {
       return Status::InvalidArgument("pool index out of range in manifest");

@@ -224,19 +224,15 @@ Status ServingFabric::Rollout(int version) {
       return Status::NotFound(
           StrFormat("Rollout: version %d is not loaded", version));
     }
-    if (options_.warm_on_rollout) {
-      Status warmed = partitioned_engine_->Warm(*model);
-      if (!warmed.ok()) return warmed;
-    }
+    Status warmed = partitioned_engine_->Warm(*model);
+    if (!warmed.ok()) return warmed;
     pinned_version_.store(version, std::memory_order_release);
     m_rollouts_->Increment();
     return Status::OK();
   }
-  if (options_.warm_on_rollout) {
-    for (auto& shard : shards_) {
-      Status warmed = shard->WarmVersion(version);
-      if (!warmed.ok()) return warmed;
-    }
+  for (auto& shard : shards_) {
+    Status warmed = shard->WarmVersion(version);
+    if (!warmed.ok()) return warmed;
   }
   // Commit: one atomic store. Every batch resolves the pin exactly once,
   // so no batch mixes versions and no shard can lag once this returns.

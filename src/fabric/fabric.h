@@ -74,11 +74,7 @@ struct FabricOptions {
   // the batcher. <= 0 disables the router gate (the batcher's queue_limit
   // still applies).
   int router_queue_limit = 0;
-  // Rollout prepare phase warms the new version's propagation product on
-  // every shard before the flip, so the first post-flip query on each
-  // shard pays a row gather instead of a full forward.
-  bool warm_on_rollout = true;
-  // Partitioner knobs for ServePartitioned (seed, balance epsilon, ...).
+  // Partitioner seed for ServePartitioned.
   partition::PartitionerOptions partitioner;
 };
 

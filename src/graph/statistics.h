@@ -35,8 +35,8 @@ struct GraphStatistics {
   // row: the average stride a row's neighbor gather walks the dense operand
   // with. Small gaps = cache-resident gathers.
   double mean_column_gap = 0.0;
-  // Fraction of stored entries in the top-1% highest-degree rows (hub mass;
-  // what the compressed hub-segment layout targets).
+  // Fraction of stored entries in the top-1% highest-degree rows (hub mass:
+  // how degree-skewed the SpMM row work is).
   double hub_mass = 0.0;
 };
 

@@ -46,7 +46,12 @@ StatusOr<std::vector<int>> ReadIndexFile(const std::string& path) {
   while (std::getline(in, line)) {
     line = StrTrim(line);
     if (line.empty()) continue;
-    indices.push_back(std::stoi(line));
+    int index = 0;
+    if (!ParseInt(line, &index)) {
+      return Status::InvalidArgument("malformed node id in " + path + ": " +
+                                     line);
+    }
+    indices.push_back(index);
   }
   return indices;
 }
@@ -129,9 +134,19 @@ StatusOr<AutographDataset> ReadAutographDataset(const std::string& dir) {
       if (parts.size() != 2) continue;
       const std::string key = StrTrim(parts[0]);
       const std::string value = StrTrim(parts[1]);
-      if (key == "time_budget") ds.time_budget_seconds = std::stod(value);
-      if (key == "n_class") n_class = std::stoi(value);
-      if (key == "directed") ds.directed = std::stoi(value) != 0;
+      bool parsed = true;
+      if (key == "time_budget") {
+        parsed = ParseDouble(value, &ds.time_budget_seconds);
+      } else if (key == "n_class") {
+        parsed = ParseInt(value, &n_class);
+      } else if (key == "directed") {
+        int directed = 0;
+        parsed = ParseInt(value, &directed);
+        ds.directed = directed != 0;
+      }
+      if (!parsed) {
+        return Status::InvalidArgument("malformed config.yml row: " + line);
+      }
     }
     if (n_class <= 0) {
       return Status::InvalidArgument("config.yml missing n_class");
@@ -151,15 +166,18 @@ StatusOr<AutographDataset> ReadAutographDataset(const std::string& dir) {
       if (parts.size() < 2) {
         return Status::InvalidArgument("malformed feature row: " + line);
       }
-      const int idx = std::stoi(parts[0]);
+      int idx = 0;
+      std::vector<double> row(parts.size() - 1);
+      bool parsed = ParseInt(parts[0], &idx);
+      for (size_t i = 1; parsed && i < parts.size(); ++i) {
+        parsed = ParseDouble(parts[i], &row[i - 1]);
+      }
+      if (!parsed) {
+        return Status::InvalidArgument("malformed feature row: " + line);
+      }
       if (idx != static_cast<int>(feature_rows.size())) {
         return Status::InvalidArgument(
             "feature.tsv rows must be dense and ordered");
-      }
-      std::vector<double> row;
-      row.reserve(parts.size() - 1);
-      for (size_t i = 1; i < parts.size(); ++i) {
-        row.push_back(std::stod(parts[i]));
       }
       feature_rows.push_back(std::move(row));
     }
@@ -182,9 +200,10 @@ StatusOr<AutographDataset> ReadAutographDataset(const std::string& dir) {
         return Status::InvalidArgument("malformed edge row: " + line);
       }
       Edge e;
-      e.src = std::stoi(parts[0]);
-      e.dst = std::stoi(parts[1]);
-      e.weight = std::stod(parts[2]);
+      if (!ParseInt(parts[0], &e.src) || !ParseInt(parts[1], &e.dst) ||
+          !ParseDouble(parts[2], &e.weight)) {
+        return Status::InvalidArgument("malformed edge row: " + line);
+      }
       if (e.src < 0 || e.src >= n || e.dst < 0 || e.dst >= n) {
         return Status::InvalidArgument("edge endpoint out of range: " + line);
       }
@@ -204,8 +223,11 @@ StatusOr<AutographDataset> ReadAutographDataset(const std::string& dir) {
       if (parts.size() != 2) {
         return Status::InvalidArgument("malformed label row: " + line);
       }
-      const int node = std::stoi(parts[0]);
-      const int label = std::stoi(parts[1]);
+      int node = 0;
+      int label = 0;
+      if (!ParseInt(parts[0], &node) || !ParseInt(parts[1], &label)) {
+        return Status::InvalidArgument("malformed label row: " + line);
+      }
       if (node < 0 || node >= n || label < 0 || label >= n_class) {
         return Status::InvalidArgument("label row out of range: " + line);
       }

@@ -103,6 +103,7 @@ StatusOr<JobState> JobStore::LoadState(const std::string& job_id) const {
   while (std::getline(in, line)) {
     const auto parts = StrSplit(line, '\t');
     if (parts.size() < 2) continue;
+    bool parsed = true;
     if (parts[0] == "status") {
       bool known = false;
       for (int code = 0; code <= static_cast<int>(JobStatus::kCancelled);
@@ -117,13 +118,17 @@ StatusOr<JobState> JobStore::LoadState(const std::string& job_id) const {
         return Status::InvalidArgument("unknown job status " + parts[1]);
       }
     } else if (parts[0] == "attempts") {
-      state.attempts = std::stoi(parts[1]);
+      parsed = ParseInt(parts[1], &state.attempts);
     } else if (parts[0] == "checkpoints_written") {
-      state.checkpoints_written = std::stoll(parts[1]);
+      parsed = ParseInt(parts[1], &state.checkpoints_written);
     } else if (parts[0] == "published_version") {
-      state.published_version = std::stoi(parts[1]);
+      parsed = ParseInt(parts[1], &state.published_version);
     } else if (parts[0] == "message") {
       state.message = parts[1];
+    }
+    if (!parsed) {
+      return Status::InvalidArgument("malformed state row for job " + job_id +
+                                     ": " + line);
     }
   }
   return state;

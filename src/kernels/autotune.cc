@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace ahg::kernels {
 namespace {
@@ -240,23 +241,17 @@ bool KernelTuner::Deserialize(const std::string& text) {
         !std::getline(fields, f2, '\t') || !std::getline(fields, f3, '\t')) {
       continue;  // malformed row; skip rather than drop the whole profile
     }
-    char* end = nullptr;
-    const long v2 = std::strtol(f2.c_str(), &end, 10);
-    const bool v2_ok = end != nullptr && *end == '\0';
-    end = nullptr;
-    const long v3 = std::strtol(f3.c_str(), &end, 10);
-    const bool v3_ok = end != nullptr && *end == '\0';
-    if (!v2_ok || !v3_ok) continue;
+    int v2 = 0;
+    int v3 = 0;
+    if (!ParseInt(f2, &v2) || !ParseInt(f3, &v3)) continue;
     if (kind == "gemm") {
-      PutGemm(key, GemmChoice{static_cast<int>(v2), static_cast<int>(v3)});
+      PutGemm(key, GemmChoice{v2, v3});
     } else if (kind == "spmm") {
-      PutSpmm(key, SpmmChoice{static_cast<int>(v2), v3 != 0});
+      PutSpmm(key, SpmmChoice{v2, v3 != 0});
     } else if (kind == "gemm_ta") {
-      PutGemmTransA(key,
-                    GemmChoice{static_cast<int>(v2), static_cast<int>(v3)});
+      PutGemmTransA(key, GemmChoice{v2, v3});
     } else if (kind == "gemm_tb") {
-      PutGemmTransB(key,
-                    GemmChoice{static_cast<int>(v2), static_cast<int>(v3)});
+      PutGemmTransB(key, GemmChoice{v2, v3});
     }
     // Unknown kinds from newer writers are ignored.
   }

@@ -80,17 +80,6 @@ struct TierOps {
 
   // out[i] = a[i] * b[i].
   void (*cwise_mul)(const double* a, const double* b, int64_t n, double* out);
-
-  // One compressed hub-segment CSR row times a dense block (see
-  // SparseMatrix::BuildHubSegments): the row's entries arrive as `num_runs`
-  // runs of consecutive column ids — run k reads columns run_cols[k] ..
-  // run_cols[k]+run_lens[k]-1 — with `values` holding the entry values in
-  // the same stored order the runs decode to. Accumulation is entry
-  // ascending per output element, exactly like spmm_row, so the result is
-  // bitwise identical to spmm_row over the decoded (values, cols) arrays.
-  void (*spmm_hub_row)(int cblock, const double* values, const int* run_cols,
-                       const int* run_lens, int num_runs, const double* x,
-                       int64_t ldx, int n, double* yrow);
 };
 
 // The scalar reference table (always available).

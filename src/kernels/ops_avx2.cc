@@ -108,57 +108,6 @@ void SpmmRowAvx2(int cblock, const double* values, const int* cols,
   }
 }
 
-template <int NV>
-inline void SpmmHubRowBlock(const double* values, const int* run_cols,
-                            const int* run_lens, int num_runs,
-                            const double* x, int64_t ldx, double* yrow) {
-  __m256d acc[NV];
-  for (int v = 0; v < NV; ++v) acc[v] = _mm256_setzero_pd();
-  const double* vp = values;
-  for (int k = 0; k < num_runs; ++k) {
-    const double* xrow = x + static_cast<int64_t>(run_cols[k]) * ldx;
-    for (int i = 0; i < run_lens[k]; ++i, xrow += ldx, ++vp) {
-      const __m256d ve = _mm256_set1_pd(*vp);
-      for (int v = 0; v < NV; ++v) {
-        acc[v] = _mm256_add_pd(
-            acc[v], _mm256_mul_pd(ve, _mm256_loadu_pd(xrow + 4 * v)));
-      }
-    }
-  }
-  for (int v = 0; v < NV; ++v) _mm256_storeu_pd(yrow + 4 * v, acc[v]);
-}
-
-void SpmmHubRowAvx2(int cblock, const double* values, const int* run_cols,
-                    const int* run_lens, int num_runs, const double* x,
-                    int64_t ldx, int n, double* yrow) {
-  if (cblock == 0) cblock = 16;
-  int c = 0;
-  switch (cblock) {
-    case 32:
-      for (; c + 32 <= n; c += 32) SpmmHubRowBlock<8>(values, run_cols, run_lens, num_runs, x + c, ldx, yrow + c);
-      [[fallthrough]];
-    case 16:
-      for (; c + 16 <= n; c += 16) SpmmHubRowBlock<4>(values, run_cols, run_lens, num_runs, x + c, ldx, yrow + c);
-      [[fallthrough]];
-    case 8:
-      for (; c + 8 <= n; c += 8) SpmmHubRowBlock<2>(values, run_cols, run_lens, num_runs, x + c, ldx, yrow + c);
-      [[fallthrough]];
-    default:
-      for (; c + 4 <= n; c += 4) SpmmHubRowBlock<1>(values, run_cols, run_lens, num_runs, x + c, ldx, yrow + c);
-  }
-  for (; c < n; ++c) {
-    double acc = 0.0;
-    const double* vp = values;
-    for (int k = 0; k < num_runs; ++k) {
-      const double* xp = x + static_cast<int64_t>(run_cols[k]) * ldx + c;
-      for (int i = 0; i < run_lens[k]; ++i, xp += ldx, ++vp) {
-        acc += *vp * *xp;
-      }
-    }
-    yrow[c] = acc;
-  }
-}
-
 void Dot4Avx2(const double* arow, const double* b0, const double* b1,
               const double* b2, const double* b3, int n, double* out) {
   __m256d acc = _mm256_setzero_pd();
@@ -312,7 +261,6 @@ constexpr TierOps kAvx2OpsTable = {
     AxpyInplaceAvx2,
     ScaleInplaceAvx2,
     CWiseMulAvx2,
-    SpmmHubRowAvx2,
 };
 
 }  // namespace

@@ -132,73 +132,6 @@ void SpmmRowAvx512(int cblock, const double* values, const int* cols,
   }
 }
 
-template <int NV>
-inline void SpmmHubRowBlock(const double* values, const int* run_cols,
-                            const int* run_lens, int num_runs,
-                            const double* x, int64_t ldx, double* yrow) {
-  __m512d acc[NV];
-  for (int v = 0; v < NV; ++v) acc[v] = _mm512_setzero_pd();
-  const double* vp = values;
-  for (int k = 0; k < num_runs; ++k) {
-    const double* xrow = x + static_cast<int64_t>(run_cols[k]) * ldx;
-    for (int i = 0; i < run_lens[k]; ++i, xrow += ldx, ++vp) {
-      const __m512d ve = _mm512_set1_pd(*vp);
-      for (int v = 0; v < NV; ++v) {
-        acc[v] = _mm512_add_pd(
-            acc[v], _mm512_mul_pd(ve, _mm512_loadu_pd(xrow + 8 * v)));
-      }
-    }
-  }
-  for (int v = 0; v < NV; ++v) _mm512_storeu_pd(yrow + 8 * v, acc[v]);
-}
-
-inline void SpmmHubRowBlock4(const double* values, const int* run_cols,
-                             const int* run_lens, int num_runs,
-                             const double* x, int64_t ldx, double* yrow) {
-  __m256d acc = _mm256_setzero_pd();
-  const double* vp = values;
-  for (int k = 0; k < num_runs; ++k) {
-    const double* xrow = x + static_cast<int64_t>(run_cols[k]) * ldx;
-    for (int i = 0; i < run_lens[k]; ++i, xrow += ldx, ++vp) {
-      const __m256d ve = _mm256_set1_pd(*vp);
-      acc = _mm256_add_pd(acc, _mm256_mul_pd(ve, _mm256_loadu_pd(xrow)));
-    }
-  }
-  _mm256_storeu_pd(yrow, acc);
-}
-
-void SpmmHubRowAvx512(int cblock, const double* values, const int* run_cols,
-                      const int* run_lens, int num_runs, const double* x,
-                      int64_t ldx, int n, double* yrow) {
-  if (cblock == 0) cblock = 32;
-  int c = 0;
-  switch (cblock) {
-    case 64:
-      for (; c + 64 <= n; c += 64) SpmmHubRowBlock<8>(values, run_cols, run_lens, num_runs, x + c, ldx, yrow + c);
-      [[fallthrough]];
-    case 32:
-      for (; c + 32 <= n; c += 32) SpmmHubRowBlock<4>(values, run_cols, run_lens, num_runs, x + c, ldx, yrow + c);
-      [[fallthrough]];
-    case 16:
-      for (; c + 16 <= n; c += 16) SpmmHubRowBlock<2>(values, run_cols, run_lens, num_runs, x + c, ldx, yrow + c);
-      [[fallthrough]];
-    default:
-      for (; c + 8 <= n; c += 8) SpmmHubRowBlock<1>(values, run_cols, run_lens, num_runs, x + c, ldx, yrow + c);
-  }
-  for (; c + 4 <= n; c += 4) SpmmHubRowBlock4(values, run_cols, run_lens, num_runs, x + c, ldx, yrow + c);
-  for (; c < n; ++c) {
-    double acc = 0.0;
-    const double* vp = values;
-    for (int k = 0; k < num_runs; ++k) {
-      const double* xp = x + static_cast<int64_t>(run_cols[k]) * ldx + c;
-      for (int i = 0; i < run_lens[k]; ++i, xp += ldx, ++vp) {
-        acc += *vp * *xp;
-      }
-    }
-    yrow[c] = acc;
-  }
-}
-
 // Same 4x4-transpose dot block as the AVX2 tier (VL-encoded); an 8-row zmm
 // transpose buys little for the k-dot shape, so the 4-wide form is kept.
 void Dot4Avx512(const double* arow, const double* b0, const double* b1,
@@ -346,7 +279,6 @@ constexpr TierOps kAvx512OpsTable = {
     AxpyInplaceAvx512,
     ScaleInplaceAvx512,
     CWiseMulAvx512,
-    SpmmHubRowAvx512,
 };
 
 }  // namespace

@@ -70,39 +70,6 @@ void SpmmRowScalar(int cblock, const double* values, const int* cols,
   }
 }
 
-void SpmmHubRowScalar(int cblock, const double* values, const int* run_cols,
-                      const int* run_lens, int num_runs, const double* x,
-                      int64_t ldx, int n, double* yrow) {
-  if (cblock == 0) cblock = 4;
-  if (cblock > 8) cblock = 8;
-  int c = 0;
-  for (; c + cblock <= n; c += cblock) {
-    double acc[8] = {0.0};
-    const double* vp = values;
-    for (int k = 0; k < num_runs; ++k) {
-      // Decoded entry order equals stored order, so each acc[l] sees the
-      // same value sequence as SpmmRowScalar over the flat arrays.
-      const double* xrow = x + static_cast<int64_t>(run_cols[k]) * ldx + c;
-      for (int i = 0; i < run_lens[k]; ++i, xrow += ldx, ++vp) {
-        const double v = *vp;
-        for (int l = 0; l < cblock; ++l) acc[l] += v * xrow[l];
-      }
-    }
-    for (int l = 0; l < cblock; ++l) yrow[c + l] = acc[l];
-  }
-  for (; c < n; ++c) {
-    double acc = 0.0;
-    const double* vp = values;
-    for (int k = 0; k < num_runs; ++k) {
-      const double* xp = x + static_cast<int64_t>(run_cols[k]) * ldx + c;
-      for (int i = 0; i < run_lens[k]; ++i, xp += ldx, ++vp) {
-        acc += *vp * *xp;
-      }
-    }
-    yrow[c] = acc;
-  }
-}
-
 void Dot4Scalar(const double* arow, const double* b0, const double* b1,
                 const double* b2, const double* b3, int n, double* out) {
   double d0 = 0.0, d1 = 0.0, d2 = 0.0, d3 = 0.0;
@@ -180,7 +147,6 @@ constexpr TierOps kScalarOps = {
     AxpyInplaceScalar,
     ScaleInplaceScalar,
     CWiseMulScalar,
-    SpmmHubRowScalar,
 };
 
 }  // namespace

@@ -12,7 +12,7 @@
 // Quality is reported, not assumed: edge-cut fraction (cut edges / total
 // edges, self loops excluded) and balance factor (heaviest part over ideal
 // n/P). The refinement pass never moves a node when the move would overflow
-// the (1 + balance_epsilon) * ceil(n/P) capacity or empty its source part,
+// the 1.1 * ceil(n/P) capacity or empty its source part,
 // and a final rebalance step guarantees every part owns at least one node
 // whenever num_parts <= num_nodes.
 #ifndef AUTOHENS_PARTITION_PARTITIONER_H_
@@ -26,15 +26,10 @@
 
 namespace ahg::partition {
 
+// The balance slack, refinement sweeps and coarsening target are constants
+// in partitioner.cc; the seed is the only knob.
 struct PartitionerOptions {
   uint64_t seed = 1;
-  // Parts may hold up to (1 + balance_epsilon) * ceil(n / P) nodes.
-  double balance_epsilon = 0.1;
-  // Boundary-refinement sweeps per level during uncoarsening.
-  int refinement_passes = 4;
-  // Stop coarsening once the graph has at most num_parts * coarsen_target
-  // nodes (or matching stalls).
-  int coarsen_target = 32;
 };
 
 struct PartitionMetrics {

@@ -65,8 +65,9 @@ StatusOr<std::vector<ManifestRow>> ReadManifest(const std::string& dir) {
   }
   {
     const auto header = StrSplit(StrTrim(line), '\t');
+    int version = 0;
     if (header.size() != 2 || header[0] != kManifestMagic ||
-        std::atoi(header[1].c_str()) != kManifestVersion) {
+        !ParseInt(header[1], &version) || version != kManifestVersion) {
       return Status::InvalidArgument("bad registry manifest header in " + dir);
     }
   }
@@ -78,10 +79,10 @@ StatusOr<std::vector<ManifestRow>> ReadManifest(const std::string& dir) {
       return Status::InvalidArgument("malformed registry row: " + line);
     }
     ManifestRow row;
-    row.version = std::atoi(parts[0].c_str());
     row.file = parts[1];
-    row.num_classes = std::atoi(parts[2].c_str());
-    if (row.version <= 0 || row.file.empty() || row.num_classes <= 0) {
+    if (!ParseInt(parts[0], &row.version) ||
+        !ParseInt(parts[2], &row.num_classes) || row.version <= 0 ||
+        row.file.empty() || row.num_classes <= 0) {
       return Status::InvalidArgument("invalid registry row: " + line);
     }
     rows.push_back(std::move(row));

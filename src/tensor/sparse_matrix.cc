@@ -28,20 +28,6 @@ inline void SpmmRowKernel(const kernels::TierOps& ops, int cblock,
                           const SparseMatrix& m, int64_t r, const Matrix& x,
                           double* yrow) {
   const int64_t e_begin = m.row_ptr()[r];
-  const SparseMatrix::HubSegments* hub = m.hub_segments();
-  if (hub != nullptr && hub->is_hub[r] != 0 &&
-      ops.spmm_hub_row != nullptr) {
-    // Compressed hub row: run metadata instead of per-entry column loads.
-    // The kernel consumes values in the same stored order, so the result is
-    // bitwise identical to the plain path.
-    const int64_t run_begin = hub->run_ptr[r];
-    ops.spmm_hub_row(cblock, m.values().data() + e_begin,
-                     hub->run_cols.data() + run_begin,
-                     hub->run_lens.data() + run_begin,
-                     static_cast<int>(hub->run_ptr[r + 1] - run_begin),
-                     x.data(), x.cols(), x.cols(), yrow);
-    return;
-  }
   ops.spmm_row(cblock, m.values().data() + e_begin,
                m.col_idx().data() + e_begin, m.row_ptr()[r + 1] - e_begin,
                x.data(), x.cols(), x.cols(), yrow);
@@ -211,43 +197,6 @@ SparseMatrix SparseMatrix::FromCsrParts(int rows, int cols,
                    m.col_idx_.size() * sizeof(int) +
                    m.values_.size() * sizeof(double));
   return m;
-}
-
-void SparseMatrix::BuildHubSegments(int64_t min_row_nnz) {
-  AHG_CHECK_GT(min_row_nnz, 0);
-  auto hub = std::make_shared<HubSegments>();
-  hub->is_hub.assign(rows_, 0);
-  hub->run_ptr.assign(rows_ + 1, 0);
-  for (int r = 0; r < rows_; ++r) {
-    hub->run_ptr[r + 1] = hub->run_ptr[r];
-    const int64_t begin = row_ptr_[r];
-    const int64_t end = row_ptr_[r + 1];
-    if (end - begin < min_row_nnz) continue;
-    hub->is_hub[r] = 1;
-    ++hub->num_hub_rows;
-    int64_t i = begin;
-    while (i < end) {
-      // One run: maximal stretch of stored entries with consecutive column
-      // ids. Stored order is preserved, never re-sorted.
-      int64_t len = 1;
-      while (i + len < end && col_idx_[i + len] == col_idx_[i + len - 1] + 1) {
-        ++len;
-      }
-      hub->run_cols.push_back(col_idx_[i]);
-      hub->run_lens.push_back(static_cast<int>(len));
-      hub->run_ptr[r + 1] += 1;
-      i += len;
-    }
-  }
-  if (hub->num_hub_rows == 0) {
-    hub_.reset();
-    return;
-  }
-  hub->tracked.Reset(hub->is_hub.size() * sizeof(uint8_t) +
-                     hub->run_ptr.size() * sizeof(int64_t) +
-                     hub->run_cols.size() * sizeof(int) +
-                     hub->run_lens.size() * sizeof(int));
-  hub_ = std::move(hub);
 }
 
 StatusOr<SparseMatrix> SparseMatrix::FromCooChecked(

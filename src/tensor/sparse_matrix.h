@@ -103,35 +103,6 @@ class SparseMatrix {
   // Densifies (tests and tiny graphs only).
   Matrix ToDense() const;
 
-  // Optional compressed hub-segment layout for high-degree rows.
-  //
-  // A qualifying row (>= min_row_nnz stored entries) is re-encoded as runs
-  // of consecutive column ids taken in STORED order: run k covers entries
-  // whose columns are run_cols[k], run_cols[k]+1, ..., run_cols[k] +
-  // run_lens[k]-1. Values are not copied — the kernels read them from
-  // values() at the row's usual offset, consuming runs sequentially — so
-  // the per-entry FP accumulation sequence is identical with the layout on
-  // or off and Spmm results are bitwise unchanged by construction. The win
-  // is structural: run metadata replaces per-entry column loads and tells
-  // the prefetcher the next dense rows are contiguous. Hub-clustered
-  // reordered graphs (graph/reorder.h) are what make long runs exist.
-  struct HubSegments {
-    std::vector<uint8_t> is_hub;   // rows(): row uses the compressed layout
-    std::vector<int64_t> run_ptr;  // rows()+1: run span per row (empty when
-                                   // is_hub[r] == 0)
-    std::vector<int> run_cols;     // first column of each run
-    std::vector<int> run_lens;     // entry count of each run
-    int64_t num_hub_rows = 0;
-    TrackedBytes tracked;
-  };
-
-  // Builds (or rebuilds) the hub-segment side structure. Leaves the layout
-  // absent when no row qualifies. Not thread-safe against concurrent reads;
-  // call before the matrix is shared, like the constructors.
-  void BuildHubSegments(int64_t min_row_nnz);
-  void ClearHubSegments() { hub_.reset(); }
-  const HubSegments* hub_segments() const { return hub_.get(); }
-
  private:
   // CSR assembly from entries already validated against rows x cols.
   static SparseMatrix BuildFromValidCoo(int rows, int cols,
@@ -148,9 +119,6 @@ class SparseMatrix {
   // Lazily built by TransposedCached(); immutable once published, so copies
   // of this matrix may share it. Reset by mutable_values().
   mutable std::shared_ptr<const SparseMatrix> transpose_cache_;
-  // Hub-segment layout; immutable once built, shared by copies. Survives
-  // mutable_values() because it references values() by position only.
-  std::shared_ptr<const HubSegments> hub_;
 };
 
 }  // namespace ahg

@@ -1,7 +1,12 @@
 #include "util/string_util.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 
 namespace ahg {
 
@@ -29,6 +34,46 @@ std::string StrTrim(const std::string& text) {
          std::isspace(static_cast<unsigned char>(text[end - 1])))
     --end;
   return text.substr(begin, end - begin);
+}
+
+namespace {
+
+// strtoll/strtod skip leading whitespace; a whole field may not have any.
+bool StartsLikeNumber(const std::string& text) {
+  return !text.empty() && !std::isspace(static_cast<unsigned char>(text[0]));
+}
+
+}  // namespace
+
+bool ParseInt(const std::string& text, int64_t* out) {
+  if (!StartsLikeNumber(text)) return false;
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (errno == ERANGE || end != text.c_str() + text.size()) return false;
+  *out = v;
+  return true;
+}
+
+bool ParseInt(const std::string& text, int* out) {
+  int64_t v = 0;
+  if (!ParseInt(text, &v) || v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  *out = static_cast<int>(v);
+  return true;
+}
+
+bool ParseDouble(const std::string& text, double* out) {
+  if (!StartsLikeNumber(text)) return false;
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size()) return false;
+  if (errno == ERANGE && std::isinf(v)) return false;
+  *out = v;
+  return true;
 }
 
 std::string StrFormat(const char* format, ...) {

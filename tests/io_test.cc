@@ -100,6 +100,41 @@ TEST(AutographFormatTest, MissingConfigKeyRejected) {
   EXPECT_EQ(read.status().code(), Status::Code::kInvalidArgument);
 }
 
+// Every numeric field is parsed whole: a malformed number is
+// InvalidArgument, never an uncaught std::stoi / std::stod exception or a
+// silently truncated value.
+TEST(AutographFormatTest, MalformedNumbersRejected) {
+  const std::string dir = TempDir("autograph_bad_number");
+  Graph g = Graph::Create(2, {{0, 1, 1.0}}, false,
+                          Matrix::Constant(2, 2, 1.0), {0, 1}, 2);
+  const struct {
+    const char* file;
+    const char* contents;
+  } cases[] = {
+      {"train_node_id.txt", "0\nzero\n"},
+      {"test_node_id.txt", "1x\n"},
+      {"config.yml", "time_budget: soon\nn_class: 2\n"},
+      {"config.yml", "n_class: two\n"},
+      {"config.yml", "n_class: 2\ndirected: yes\n"},
+      {"feature.tsv", "0\t1.0\t1.0\n1\t1.0\tone\n"},
+      {"feature.tsv", "0\t1.0\t1.0\n1x\t1.0\t1.0\n"},
+      {"edge.tsv", "0\t1\theavy\n"},
+      {"edge.tsv", "0\t1x\t1.0\n"},
+      {"train_label.tsv", "0\tA\n"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::string(c.file) + ": " + c.contents);
+    ASSERT_TRUE(WriteAutographDataset(dir, g, {0}, {1}, 60.0).ok());
+    {
+      std::ofstream bad(dir + "/" + c.file, std::ios::trunc);
+      bad << c.contents;
+    }
+    auto read = ReadAutographDataset(dir);
+    ASSERT_FALSE(read.ok());
+    EXPECT_EQ(read.status().code(), Status::Code::kInvalidArgument);
+  }
+}
+
 // --- model_store framing hardening ---------------------------------------
 
 std::string WriteReferenceModel(const std::string& name) {

@@ -386,6 +386,25 @@ TEST(JobStoreTest, StateRoundTripAndRecovery) {
   EXPECT_EQ(store.LoadState("fine").value().status, JobStatus::kQueued);
 }
 
+// Numeric state rows are parsed whole: a malformed count is
+// InvalidArgument, never an uncaught std::stoi exception or a silently
+// truncated value.
+TEST(JobStoreTest, StateWithMalformedNumberIsRejected) {
+  JobStore store(FreshRoot("state_bad"));
+  ASSERT_TRUE(store.CreateJob(MakeSpec("j", JobAlgo::kGradient)).ok());
+  ASSERT_TRUE(store.SaveState("j", JobState{}).ok());
+  for (const char* row : {"attempts\tmany", "checkpoints_written\t5x",
+                          "published_version\t99999999999"}) {
+    SCOPED_TRACE(row);
+    {
+      std::ofstream out(store.JobDir("j") + "/state.tsv", std::ios::trunc);
+      out << "ahg-job-state\t1\nstatus\tqueued\n" << row << "\n";
+    }
+    EXPECT_EQ(store.LoadState("j").status().code(),
+              Status::Code::kInvalidArgument);
+  }
+}
+
 // --- SearchJob -----------------------------------------------------------
 
 TEST(SearchJobTest, HierarchicalRunPublishes) {

@@ -521,13 +521,20 @@ TEST(TuningTest, MalformedProfileRejectedOrSkipped) {
   KernelTuner tuner;
   EXPECT_FALSE(tuner.Deserialize("not-a-profile\n"));
   EXPECT_FALSE(tuner.Deserialize(""));
-  // Bad rows and unknown kinds are skipped; good rows still load.
+  // Bad rows and unknown kinds are skipped; good rows still load. Numbers
+  // are parsed whole: an empty field, a leading space, a trailing suffix or
+  // a value beyond int range is a bad row, not 0, a truncated number or a
+  // wrapped int.
   ASSERT_TRUE(tuner.Deserialize(
       "ahg-tuning 1\n"
       "gemm\tscalar:k2:n2:m2\t4\t64\n"
       "gemm\tbroken-row\n"
       "frobnicate\tx\t1\t2\n"
-      "spmm\tscalar:r2:z2:c2\tnot-a-number\t1\n"));
+      "spmm\tscalar:r2:z2:c2\tnot-a-number\t1\n"
+      "gemm\tscalar:k4:n4:m4\t\t64\n"
+      "gemm\tscalar:k8:n8:m8\t 4\t64\n"
+      "gemm_ta\tscalar:k8:n8:m8\t4\t64x\n"
+      "spmm\tscalar:r4:z4:c4\t4294967300\t1\n"));
   EXPECT_EQ(tuner.entries(), 1);
 }
 

@@ -73,19 +73,25 @@ bool BitwiseEqual(const Matrix& a, const Matrix& b) {
   return true;
 }
 
-const ReorderStrategy kActiveStrategies[] = {
-    ReorderStrategy::kRcm, ReorderStrategy::kHubCluster,
-    ReorderStrategy::kShuffle};
+const ReorderStrategy kActiveStrategies[] = {ReorderStrategy::kRcm,
+                                             ReorderStrategy::kShuffle};
 
 TEST(ReorderTest, StrategyNamesRoundTrip) {
-  for (ReorderStrategy s :
-       {ReorderStrategy::kNone, ReorderStrategy::kRcm,
-        ReorderStrategy::kHubCluster, ReorderStrategy::kShuffle}) {
+  for (ReorderStrategy s : {ReorderStrategy::kNone, ReorderStrategy::kRcm,
+                            ReorderStrategy::kShuffle}) {
     auto parsed = ParseReorderStrategy(ReorderStrategyName(s));
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(parsed.value(), s);
   }
   EXPECT_FALSE(ParseReorderStrategy("metis").ok());
+}
+
+// "hub" names no strategy: a stale --reorder value fails rather than
+// silently falling back to another order.
+TEST(ReorderTest, HubStrategyIsRejected) {
+  auto parsed = ParseReorderStrategy("hub");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), Status::Code::kInvalidArgument);
 }
 
 TEST(ReorderTest, PermutationIsDeterministicPerGraphStrategySeed) {
@@ -122,7 +128,7 @@ TEST(ReorderTest, PermutationIsABijection) {
 TEST(ReorderTest, SerializeDeserializeRoundTrip) {
   const Graph graph = TestGraph(40);
   const NodePermutation perm =
-      ComputeReorder(graph, ReorderStrategy::kHubCluster, 99);
+      ComputeReorder(graph, ReorderStrategy::kShuffle, 99);
   auto back = NodePermutation::Deserialize(perm.Serialize());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().strategy, perm.strategy);
@@ -301,8 +307,7 @@ TEST(ReorderConformanceTest, PartitionedEngineAcrossPartCounts) {
     const serve::ServableModel model = MakeServable(graph, family);
     auto ref = lone.PredictNodes(model, all_nodes);
     ASSERT_TRUE(ref.ok());
-    for (ReorderStrategy s :
-         {ReorderStrategy::kRcm, ReorderStrategy::kHubCluster}) {
+    for (ReorderStrategy s : kActiveStrategies) {
       const Graph reordered = ReorderGraph(graph, s, 31);
       for (int parts : {1, 2, 4}) {
         SCOPED_TRACE(std::string(ModelFamilyName(family)) + "/" +
@@ -319,7 +324,7 @@ TEST(ReorderConformanceTest, PartitionedEngineAcrossPartCounts) {
 
 TEST(ReorderConformanceTest, PartitionPlanKeepsRankOrderPerPart) {
   const Graph reordered =
-      ReorderGraph(TestGraph(120, 4), ReorderStrategy::kHubCluster, 8);
+      ReorderGraph(TestGraph(120, 4), ReorderStrategy::kShuffle, 8);
   auto plan = partition::PartitionPlan::Build(reordered, 3);
   ASSERT_TRUE(plan.ok());
   for (const partition::PartitionPlan::Part& part : plan.value().parts) {
@@ -332,28 +337,6 @@ TEST(ReorderConformanceTest, PartitionPlanKeepsRankOrderPerPart) {
       }
     }
   }
-}
-
-// The compressed hub-segment layout is a pure re-encoding: SpMM results
-// must be bitwise unchanged with the layout on or off.
-TEST(ReorderConformanceTest, HubSegmentsAreBitwiseNeutral) {
-  const Graph reordered =
-      ReorderGraph(TestGraph(200, 6), ReorderStrategy::kHubCluster, 6);
-  SparseMatrix plain = reordered.Adjacency(AdjacencyKind::kSymNorm);
-  plain.ClearHubSegments();
-  SparseMatrix compressed = plain;
-  compressed.BuildHubSegments(/*min_row_nnz=*/3);
-  ASSERT_NE(compressed.hub_segments(), nullptr);
-  EXPECT_GT(compressed.hub_segments()->num_hub_rows, 0);
-  Matrix x(plain.cols(), 8);
-  Rng rng(12);
-  for (int r = 0; r < x.rows(); ++r) {
-    for (int c = 0; c < x.cols(); ++c) x(r, c) = rng.Normal();
-  }
-  EXPECT_TRUE(BitwiseEqual(plain.Spmm(x), compressed.Spmm(x)));
-  const std::vector<int> rows = {0, 7, 150, 3};
-  EXPECT_TRUE(BitwiseEqual(plain.SpmmRows(rows, x),
-                           compressed.SpmmRows(rows, x)));
 }
 
 TEST(ReorderDynTest, SnapshotBoundariesAndAddNodeStability) {

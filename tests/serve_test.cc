@@ -275,6 +275,41 @@ TEST(ModelRegistryTest, RejectsManifestHeadMismatch) {
   EXPECT_EQ(registry.Active(), nullptr);
 }
 
+// Manifest numbers are parsed whole: "1x" is not version 1 and "2abc" is
+// not two classes.
+TEST(ModelRegistryTest, RejectsMalformedManifestNumbers) {
+  Graph graph = SmallGraph();
+  const std::string dir = FreshDir("serve_registry_bad_number");
+  ServableModel v1 = MakeServable(graph, 1);
+  ASSERT_TRUE(ModelRegistry::Publish(dir, 1, v1.config, v1.params,
+                                     v1.num_classes)
+                  .ok());
+  const std::string good_row =
+      "1\tmodel_v1.ahgm\t" + std::to_string(v1.num_classes) + "\n";
+  for (const std::string& manifest :
+       {"ahg-registry\t1x\n" + good_row,
+        "ahg-registry\t1\n1x\tmodel_v1.ahgm\t" +
+            std::to_string(v1.num_classes) + "\n",
+        "ahg-registry\t1\n1\tmodel_v1.ahgm\t" +
+            std::to_string(v1.num_classes) + "abc\n"}) {
+    SCOPED_TRACE(manifest);
+    {
+      std::ofstream out(dir + "/registry.tsv", std::ios::trunc);
+      out << manifest;
+    }
+    ModelRegistry registry(dir);
+    EXPECT_EQ(registry.Refresh().code(), Status::Code::kInvalidArgument);
+    EXPECT_EQ(registry.Active(), nullptr);
+  }
+  // The well-formed manifest still loads.
+  {
+    std::ofstream out(dir + "/registry.tsv", std::ios::trunc);
+    out << "ahg-registry\t1\n" << good_row;
+  }
+  ModelRegistry registry(dir);
+  EXPECT_TRUE(registry.Refresh().ok());
+}
+
 TEST(ModelRegistryTest, PublishRejectsTruncatedParams) {
   Graph graph = SmallGraph();
   ServableModel model = MakeServable(graph, 1);

@@ -1,5 +1,9 @@
 #include "core/trained_ensemble.h"
 
+#include <filesystem>
+#include <fstream>
+#include <string>
+
 #include "graph/sampling.h"
 #include "graph/synthetic.h"
 #include "gtest/gtest.h"
@@ -83,6 +87,26 @@ TEST(TrainedEnsembleTest, SaveLoadPreservesPredictions) {
 TEST(TrainedEnsembleTest, LoadRejectsMissingDirectory) {
   EXPECT_EQ(TrainedEnsemble::Load("/definitely/not/there").status().code(),
             Status::Code::kNotFound);
+}
+
+// A malformed number in the manifest is InvalidArgument, never an uncaught
+// std::stod / std::stoi exception.
+TEST(TrainedEnsembleTest, LoadRejectsMalformedNumbers) {
+  const std::string dir = ::testing::TempDir() + "trained_ensemble_bad";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  for (const char* manifest :
+       {"beta\tnot-a-number\n", "beta\t0.5\t0.5x\n",
+        "beta\t0.5\nmember_0.ahgm\tzero\t2\n",
+        "beta\t0.5\nmember_0.ahgm\t0\t2x\n"}) {
+    SCOPED_TRACE(manifest);
+    {
+      std::ofstream out(dir + "/manifest.tsv", std::ios::trunc);
+      out << manifest;
+    }
+    EXPECT_EQ(TrainedEnsemble::Load(dir).status().code(),
+              Status::Code::kInvalidArgument);
+  }
 }
 
 }  // namespace

@@ -31,6 +31,32 @@ TEST(FormatFloatTest, Precision) {
   EXPECT_EQ(FormatFloat(2.0, 0), "2");
 }
 
+TEST(ParseNumberTest, AcceptsOnlyWholeFields) {
+  int i = 7;
+  EXPECT_TRUE(ParseInt("-42", &i));
+  EXPECT_EQ(i, -42);
+  int64_t big = 0;
+  EXPECT_TRUE(ParseInt("9000000000", &big));
+  EXPECT_EQ(big, int64_t{9000000000});
+  double d = 0.0;
+  EXPECT_TRUE(ParseDouble("-1.5e-3", &d));
+  EXPECT_EQ(d, -1.5e-3);
+  EXPECT_TRUE(ParseDouble("1e-320", &d));  // subnormal underflow is a value
+  EXPECT_GT(d, 0.0);
+  i = 7;
+  for (const char* bad : {"", " 1", "1 ", "1x", "x", "-", "1.5", "0x10",
+                          "9000000000"}) {
+    EXPECT_FALSE(ParseInt(bad, &i)) << bad;
+  }
+  EXPECT_EQ(i, 7);  // untouched on failure
+  EXPECT_FALSE(ParseInt("99999999999999999999", &big));
+  d = 2.0;
+  for (const char* bad : {"", " 1.0", "1.0 ", "1.0x", "abc", "1e999"}) {
+    EXPECT_FALSE(ParseDouble(bad, &d)) << bad;
+  }
+  EXPECT_EQ(d, 2.0);
+}
+
 TEST(StopwatchTest, MeasuresElapsedTime) {
   Stopwatch watch;
   double sink = 0.0;
