@@ -1,6 +1,7 @@
 #include "autodiff/ops.h"
 
 #include <cmath>
+#include <cstring>
 
 #include "kernels/kernel_ops.h"
 #include "tensor/pool.h"
@@ -290,14 +291,16 @@ Var ConcatCols(const std::vector<Var>& parts) {
     total_cols += p->cols();
   }
   Matrix out(rows, total_cols);
-  int offset = 0;
-  for (const auto& p : parts) {
-    for (int r = 0; r < rows; ++r) {
-      const double* src = p->value.Row(r);
-      double* dst = out.Row(r) + offset;
-      for (int c = 0; c < p->cols(); ++c) dst[c] = src[c];
+  // Row-major fill: each output row is written front to back, one memcpy
+  // per (non-empty) part, so the destination streams through once.
+  for (int r = 0; r < rows; ++r) {
+    double* dst = out.Row(r);
+    for (const auto& p : parts) {
+      if (p->cols() == 0) continue;
+      std::memcpy(dst, p->value.Row(r),
+                  static_cast<size_t>(p->cols()) * sizeof(double));
+      dst += p->cols();
     }
-    offset += p->cols();
   }
   return MakeOpNode(std::move(out), parts, [parts](const Node& n) {
     int off = 0;

@@ -34,8 +34,6 @@ int64_t Pow2Bucket(int64_t v) {
 // read-only while kernels run.
 const GemmChoice* g_forced_gemm = nullptr;
 const SpmmChoice* g_forced_spmm = nullptr;
-const GemmChoice* g_forced_gemm_ta = nullptr;
-const GemmChoice* g_forced_gemm_tb = nullptr;
 
 }  // namespace
 
@@ -65,13 +63,12 @@ KernelTuner& KernelTuner::Global() {
   return *tuner;
 }
 
-GemmChoice KernelTuner::GetGemmLocked(
-    std::map<std::string, GemmChoice>* table, const std::string& key,
-    const std::vector<GemmChoice>& candidates,
+GemmChoice KernelTuner::GetGemm(
+    const std::string& key, const std::vector<GemmChoice>& candidates,
     const std::function<double(const GemmChoice&)>& bench) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = table->find(key);
-  if (it != table->end()) return it->second;
+  auto it = gemm_.find(key);
+  if (it != gemm_.end()) return it->second;
   GemmChoice best;
   if (!candidates.empty()) best = candidates[0];
   if (candidates.size() > 1 && AutotuneEnabled() && bench) {
@@ -85,26 +82,8 @@ GemmChoice KernelTuner::GetGemmLocked(
     }
     ++benchmark_runs_;
   }
-  table->emplace(key, best);
+  gemm_.emplace(key, best);
   return best;
-}
-
-GemmChoice KernelTuner::GetGemm(
-    const std::string& key, const std::vector<GemmChoice>& candidates,
-    const std::function<double(const GemmChoice&)>& bench) {
-  return GetGemmLocked(&gemm_, key, candidates, bench);
-}
-
-GemmChoice KernelTuner::GetGemmTransA(
-    const std::string& key, const std::vector<GemmChoice>& candidates,
-    const std::function<double(const GemmChoice&)>& bench) {
-  return GetGemmLocked(&gemm_ta_, key, candidates, bench);
-}
-
-GemmChoice KernelTuner::GetGemmTransB(
-    const std::string& key, const std::vector<GemmChoice>& candidates,
-    const std::function<double(const GemmChoice&)>& bench) {
-  return GetGemmLocked(&gemm_tb_, key, candidates, bench);
 }
 
 SpmmChoice KernelTuner::GetSpmm(
@@ -146,24 +125,6 @@ bool KernelTuner::LookupSpmm(const std::string& key, SpmmChoice* out) const {
   return true;
 }
 
-bool KernelTuner::LookupGemmTransA(const std::string& key,
-                                   GemmChoice* out) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = gemm_ta_.find(key);
-  if (it == gemm_ta_.end()) return false;
-  if (out != nullptr) *out = it->second;
-  return true;
-}
-
-bool KernelTuner::LookupGemmTransB(const std::string& key,
-                                   GemmChoice* out) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = gemm_tb_.find(key);
-  if (it == gemm_tb_.end()) return false;
-  if (out != nullptr) *out = it->second;
-  return true;
-}
-
 void KernelTuner::PutGemm(const std::string& key, const GemmChoice& choice) {
   std::lock_guard<std::mutex> lock(mu_);
   gemm_[key] = choice;
@@ -174,22 +135,9 @@ void KernelTuner::PutSpmm(const std::string& key, const SpmmChoice& choice) {
   spmm_[key] = choice;
 }
 
-void KernelTuner::PutGemmTransA(const std::string& key,
-                                const GemmChoice& choice) {
-  std::lock_guard<std::mutex> lock(mu_);
-  gemm_ta_[key] = choice;
-}
-
-void KernelTuner::PutGemmTransB(const std::string& key,
-                                const GemmChoice& choice) {
-  std::lock_guard<std::mutex> lock(mu_);
-  gemm_tb_[key] = choice;
-}
-
 int64_t KernelTuner::entries() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int64_t>(gemm_.size() + spmm_.size() + gemm_ta_.size() +
-                              gemm_tb_.size());
+  return static_cast<int64_t>(gemm_.size() + spmm_.size());
 }
 
 int64_t KernelTuner::benchmark_runs() const {
@@ -201,8 +149,6 @@ void KernelTuner::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   gemm_.clear();
   spmm_.clear();
-  gemm_ta_.clear();
-  gemm_tb_.clear();
   benchmark_runs_ = 0;
 }
 
@@ -211,20 +157,14 @@ std::string KernelTuner::Serialize() const {
   std::ostringstream os;
   os << kProfileHeader << "\n";
   for (const auto& [key, choice] : gemm_) {
-    os << "gemm\t" << key << "\t" << choice.jblock << "\t" << choice.kpanel
-       << "\n";
+    // The third field is reserved: written as 0 and ignored on load, so
+    // profiles stay readable by and from builds that stored a register-block
+    // width there.
+    os << "gemm\t" << key << "\t0\t" << choice.kpanel << "\n";
   }
   for (const auto& [key, choice] : spmm_) {
     os << "spmm\t" << key << "\t" << choice.cblock << "\t"
        << (choice.nnz_split ? 1 : 0) << "\n";
-  }
-  for (const auto& [key, choice] : gemm_ta_) {
-    os << "gemm_ta\t" << key << "\t" << choice.jblock << "\t" << choice.kpanel
-       << "\n";
-  }
-  for (const auto& [key, choice] : gemm_tb_) {
-    os << "gemm_tb\t" << key << "\t" << choice.jblock << "\t" << choice.kpanel
-       << "\n";
   }
   return os.str();
 }
@@ -245,15 +185,12 @@ bool KernelTuner::Deserialize(const std::string& text) {
     int v3 = 0;
     if (!ParseInt(f2, &v2) || !ParseInt(f3, &v3)) continue;
     if (kind == "gemm") {
-      PutGemm(key, GemmChoice{v2, v3});
+      PutGemm(key, GemmChoice{v3});
     } else if (kind == "spmm") {
       PutSpmm(key, SpmmChoice{v2, v3 != 0});
-    } else if (kind == "gemm_ta") {
-      PutGemmTransA(key, GemmChoice{v2, v3});
-    } else if (kind == "gemm_tb") {
-      PutGemmTransB(key, GemmChoice{v2, v3});
     }
-    // Unknown kinds from newer writers are ignored.
+    // Other kinds are skipped: rows from newer writers, and the obsolete
+    // gemm_ta / gemm_tb tile-width rows older writers emitted.
   }
   return true;
 }
@@ -305,26 +242,5 @@ ScopedForcedSpmm::ScopedForcedSpmm(const SpmmChoice& choice)
 }
 
 ScopedForcedSpmm::~ScopedForcedSpmm() { g_forced_spmm = saved_; }
-
-const GemmChoice* ForcedGemmTransA() { return g_forced_gemm_ta; }
-const GemmChoice* ForcedGemmTransB() { return g_forced_gemm_tb; }
-
-ScopedForcedGemmTransA::ScopedForcedGemmTransA(const GemmChoice& choice)
-    : saved_(g_forced_gemm_ta), choice_(choice) {
-  g_forced_gemm_ta = &choice_;
-}
-
-ScopedForcedGemmTransA::~ScopedForcedGemmTransA() {
-  g_forced_gemm_ta = saved_;
-}
-
-ScopedForcedGemmTransB::ScopedForcedGemmTransB(const GemmChoice& choice)
-    : saved_(g_forced_gemm_tb), choice_(choice) {
-  g_forced_gemm_tb = &choice_;
-}
-
-ScopedForcedGemmTransB::~ScopedForcedGemmTransB() {
-  g_forced_gemm_tb = saved_;
-}
 
 }  // namespace ahg::kernels

@@ -1,7 +1,7 @@
 // iSpLib-style per-shape kernel autotuner.
 //
-// Every tunable dimension (GEMM register-block width and k-panel size, SpMM
-// column-block width and row- vs nnz-split scheduling) is *exact* — all
+// Every tunable dimension (the GEMM k-panel size, shared by A*B and A*B^T;
+// SpMM column-block width and row- vs nnz-split scheduling) is *exact* — all
 // variants produce bitwise-identical results (see kernel_ops.h) — so the
 // tuner is free to benchmark candidates on first use and pick the fastest
 // without perturbing any determinism guarantee. The winner is cached under a
@@ -22,10 +22,10 @@
 
 namespace ahg::kernels {
 
-// GEMM variant: register-block width (output columns held in accumulators;
-// 0 = tier default) and k-panel size for the packed inner loop.
+// GEMM variant: rows of B per k-panel (the slab every row of A streams
+// through while it stays cache-hot). The register-block width is not a
+// variant: the row kernel always holds the widest block that fits.
 struct GemmChoice {
-  int jblock = 0;
   int kpanel = 128;
 };
 
@@ -70,28 +70,12 @@ class KernelTuner {
   SpmmChoice GetSpmm(const std::string& key,
                      const std::vector<SpmmChoice>& candidates,
                      const std::function<double(const SpmmChoice&)>& bench);
-  // Transposed GEMM variants (MatMulTransA / MatMulTransB). Both reuse
-  // GemmChoice with jblock = column/row tile width (0 = untiled default);
-  // kpanel is unused and serialized as 0. Tiling only regroups which output
-  // entries a pass touches — per-element accumulation order is unchanged —
-  // so these variants are exact like every other tunable.
-  GemmChoice GetGemmTransA(
-      const std::string& key, const std::vector<GemmChoice>& candidates,
-      const std::function<double(const GemmChoice&)>& bench);
-  GemmChoice GetGemmTransB(
-      const std::string& key, const std::vector<GemmChoice>& candidates,
-      const std::function<double(const GemmChoice&)>& bench);
-
   bool LookupGemm(const std::string& key, GemmChoice* out) const;
   bool LookupSpmm(const std::string& key, SpmmChoice* out) const;
-  bool LookupGemmTransA(const std::string& key, GemmChoice* out) const;
-  bool LookupGemmTransB(const std::string& key, GemmChoice* out) const;
 
   // Direct inserts (profile merge); overwrite existing entries.
   void PutGemm(const std::string& key, const GemmChoice& choice);
   void PutSpmm(const std::string& key, const SpmmChoice& choice);
-  void PutGemmTransA(const std::string& key, const GemmChoice& choice);
-  void PutGemmTransB(const std::string& key, const GemmChoice& choice);
 
   int64_t entries() const;
   // Number of benchmarked tuning events since construction/Clear. A profile
@@ -101,8 +85,10 @@ class KernelTuner {
   void Clear();
 
   // Text profile, versioned. Deserialize *merges* into the current table
-  // (later entries win) and tolerates unknown record kinds from newer
-  // writers; it rejects a missing/mismatched header.
+  // (later entries win) and skips record kinds it does not know: rows from
+  // newer writers, and the obsolete gemm_ta / gemm_tb rows older writers
+  // emitted when the transposed GEMMs had tile-width variants. It rejects
+  // a missing/mismatched header.
   std::string Serialize() const;
   bool Deserialize(const std::string& text);
 
@@ -113,16 +99,9 @@ class KernelTuner {
   bool LoadFile(const std::string& path);
 
  private:
-  GemmChoice GetGemmLocked(std::map<std::string, GemmChoice>* table,
-                           const std::string& key,
-                           const std::vector<GemmChoice>& candidates,
-                           const std::function<double(const GemmChoice&)>& bench);
-
   mutable std::mutex mu_;
   std::map<std::string, GemmChoice> gemm_;
   std::map<std::string, SpmmChoice> spmm_;
-  std::map<std::string, GemmChoice> gemm_ta_;
-  std::map<std::string, GemmChoice> gemm_tb_;
   int64_t benchmark_runs_ = 0;
 };
 
@@ -130,8 +109,6 @@ class KernelTuner {
 // the tuner. Used by the bitwise-identity matrix to sweep variants.
 const GemmChoice* ForcedGemm();
 const SpmmChoice* ForcedSpmm();
-const GemmChoice* ForcedGemmTransA();
-const GemmChoice* ForcedGemmTransB();
 
 class ScopedForcedGemm {
  public:
@@ -151,26 +128,6 @@ class ScopedForcedSpmm {
  private:
   const SpmmChoice* saved_;
   SpmmChoice choice_;
-};
-
-class ScopedForcedGemmTransA {
- public:
-  explicit ScopedForcedGemmTransA(const GemmChoice& choice);
-  ~ScopedForcedGemmTransA();
-
- private:
-  const GemmChoice* saved_;
-  GemmChoice choice_;
-};
-
-class ScopedForcedGemmTransB {
- public:
-  explicit ScopedForcedGemmTransB(const GemmChoice& choice);
-  ~ScopedForcedGemmTransB();
-
- private:
-  const GemmChoice* saved_;
-  GemmChoice choice_;
 };
 
 }  // namespace ahg::kernels

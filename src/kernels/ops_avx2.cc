@@ -1,8 +1,8 @@
 // AVX2 tier: 4-lane double vectors, multiply and add kept separate (no FMA
 // — this TU is compiled with -mavx2 -ffp-contract=off and without -mfma),
-// scalar tails identical to the reference. Vector lanes are independent
-// output elements, so per-element accumulation order matches ops_scalar.cc
-// exactly and results are bitwise identical to it.
+// masked or scalar tails identical to the reference. Vector lanes are
+// independent output elements, so per-element accumulation order matches
+// ops_scalar.cc exactly and results are bitwise identical to it.
 #include "kernels/kernel_ops.h"
 
 #if defined(__AVX2__)
@@ -15,54 +15,118 @@
 namespace ahg::kernels {
 namespace {
 
-constexpr int kGemmJBlocks[] = {4, 8, 16, 32};
 constexpr int kSpmmCBlocks[] = {4, 8, 16, 32};
 
-// NV = number of 4-wide accumulators held across the k panel.
-template <int NV>
-inline void GemmPanelBlock(const double* arow, int kc, const double* b,
-                           int64_t ldb, double* crow) {
+// All-ones in the first r of 4 int32 lanes: load kLaneMask + 4 - r.
+constexpr int32_t kLaneMask[8] = {-1, -1, -1, -1, 0, 0, 0, 0};
+
+inline __m128i FirstLanes(int r) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(kLaneMask + 4 - r));
+}
+
+// The same mask for the first r of 4 double lanes.
+inline __m256i TailMask(int r) { return _mm256_cvtepi32_epi64(FirstLanes(r)); }
+
+// NV = number of 4-wide accumulators held across the listed k's.
+template <int NV, bool kIndexed>
+inline void GemmRowBlock(const double* arow, const int* kidx, int cnt,
+                         const double* b, int64_t ldb, double* crow) {
   __m256d acc[NV];
+  #pragma GCC unroll 8
   for (int v = 0; v < NV; ++v) acc[v] = _mm256_loadu_pd(crow + 4 * v);
-  for (int k = 0; k < kc; ++k) {
-    const double aik = arow[k];
-    if (aik == 0.0) continue;
-    const __m256d av = _mm256_set1_pd(aik);
+  for (int t = 0; t < cnt; ++t) {
+    const int k = kIndexed ? kidx[t] : t;
+    const __m256d av = _mm256_set1_pd(arow[k]);
     const double* brow = b + static_cast<int64_t>(k) * ldb;
+    #pragma GCC unroll 8
     for (int v = 0; v < NV; ++v) {
       acc[v] = _mm256_add_pd(acc[v],
                              _mm256_mul_pd(av, _mm256_loadu_pd(brow + 4 * v)));
     }
   }
+  #pragma GCC unroll 8
   for (int v = 0; v < NV; ++v) _mm256_storeu_pd(crow + 4 * v, acc[v]);
 }
 
-void GemmPanelAvx2(int jblock, const double* arow, int kc, const double* b,
-                   int64_t ldb, int n, double* crow) {
-  if (jblock == 0) jblock = 16;
+// The last n % 4 columns: one masked accumulator. Masked-off lanes load as
+// zero and are never stored.
+template <bool kIndexed>
+inline void GemmRowTail(__m256i mask, const double* arow, const int* kidx,
+                        int cnt, const double* b, int64_t ldb, double* crow) {
+  __m256d acc = _mm256_maskload_pd(crow, mask);
+  for (int t = 0; t < cnt; ++t) {
+    const int k = kIndexed ? kidx[t] : t;
+    const __m256d av = _mm256_set1_pd(arow[k]);
+    const double* brow = b + static_cast<int64_t>(k) * ldb;
+    acc = _mm256_add_pd(acc,
+                        _mm256_mul_pd(av, _mm256_maskload_pd(brow, mask)));
+  }
+  _mm256_maskstore_pd(crow, mask, acc);
+}
+
+template <bool kIndexed>
+void GemmRowImpl(const double* arow, const int* kidx, int cnt,
+                 const double* b, int64_t ldb, int n, double* crow) {
   int j = 0;
-  switch (jblock) {
-    case 32:
-      for (; j + 32 <= n; j += 32) GemmPanelBlock<8>(arow, kc, b + j, ldb, crow + j);
-      [[fallthrough]];
-    case 16:
-      for (; j + 16 <= n; j += 16) GemmPanelBlock<4>(arow, kc, b + j, ldb, crow + j);
-      [[fallthrough]];
-    case 8:
-      for (; j + 8 <= n; j += 8) GemmPanelBlock<2>(arow, kc, b + j, ldb, crow + j);
-      [[fallthrough]];
-    default:
-      for (; j + 4 <= n; j += 4) GemmPanelBlock<1>(arow, kc, b + j, ldb, crow + j);
+  for (; j + 32 <= n; j += 32) {
+    GemmRowBlock<8, kIndexed>(arow, kidx, cnt, b + j, ldb, crow + j);
   }
-  // Scalar remainder: k outer, j inner, zero-skip — the reference tail.
+  if (j + 16 <= n) {
+    GemmRowBlock<4, kIndexed>(arow, kidx, cnt, b + j, ldb, crow + j);
+    j += 16;
+  }
+  if (j + 8 <= n) {
+    GemmRowBlock<2, kIndexed>(arow, kidx, cnt, b + j, ldb, crow + j);
+    j += 8;
+  }
+  if (j + 4 <= n) {
+    GemmRowBlock<1, kIndexed>(arow, kidx, cnt, b + j, ldb, crow + j);
+    j += 4;
+  }
   if (j < n) {
-    for (int k = 0; k < kc; ++k) {
-      const double aik = arow[k];
-      if (aik == 0.0) continue;
-      const double* brow = b + static_cast<int64_t>(k) * ldb;
-      for (int jj = j; jj < n; ++jj) crow[jj] += aik * brow[jj];
-    }
+    GemmRowTail<kIndexed>(TailMask(n - j), arow, kidx, cnt, b + j, ldb,
+                          crow + j);
   }
+}
+
+void GemmRowAvx2(const double* arow, const int* kidx, int cnt,
+                 const double* b, int64_t ldb, int n, double* crow) {
+  if (kidx != nullptr) {
+    GemmRowImpl<true>(arow, kidx, cnt, b, ldb, n, crow);
+  } else {
+    GemmRowImpl<false>(arow, kidx, cnt, b, ldb, n, crow);
+  }
+}
+
+// kPackedLanes[m] lists, ascending, the set bits of the 4-bit mask m.
+constexpr int32_t kPackedLanes[16][4] = {
+    {0, 0, 0, 0}, {0, 0, 0, 0}, {1, 0, 0, 0}, {0, 1, 0, 0},
+    {2, 0, 0, 0}, {0, 2, 0, 0}, {1, 2, 0, 0}, {0, 1, 2, 0},
+    {3, 0, 0, 0}, {0, 3, 0, 0}, {1, 3, 0, 0}, {0, 1, 3, 0},
+    {2, 3, 0, 0}, {0, 2, 3, 0}, {1, 2, 3, 0}, {0, 1, 2, 3},
+};
+
+// Four lanes per step: a table lookup packs the lane numbers of the
+// nonzero entries and a masked store writes only those.
+int ListNonzeroAvx2(const double* x, int n, int* idx) {
+  const __m256d zero = _mm256_setzero_pd();
+  int cnt = 0;
+  int k = 0;
+  for (; k + 4 <= n; k += 4) {
+    const int nonzero = _mm256_movemask_pd(
+        _mm256_cmp_pd(_mm256_loadu_pd(x + k), zero, _CMP_NEQ_UQ));
+    const int found = __builtin_popcount(nonzero);
+    const __m128i lanes = _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(kPackedLanes[nonzero]));
+    const __m128i packed = _mm_add_epi32(lanes, _mm_set1_epi32(k));
+    _mm_maskstore_epi32(idx + cnt, FirstLanes(found), packed);
+    cnt += found;
+  }
+  for (; k < n; ++k) {
+    idx[cnt] = k;
+    cnt += x[k] != 0.0;
+  }
+  return cnt;
 }
 
 template <int NV>
@@ -105,40 +169,6 @@ void SpmmRowAvx2(int cblock, const double* values, const int* cols,
       acc += values[e] * x[static_cast<int64_t>(cols[e]) * ldx + c];
     }
     yrow[c] = acc;
-  }
-}
-
-void Dot4Avx2(const double* arow, const double* b0, const double* b1,
-              const double* b2, const double* b3, int n, double* out) {
-  __m256d acc = _mm256_setzero_pd();
-  int k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m256d r0 = _mm256_loadu_pd(b0 + k);
-    const __m256d r1 = _mm256_loadu_pd(b1 + k);
-    const __m256d r2 = _mm256_loadu_pd(b2 + k);
-    const __m256d r3 = _mm256_loadu_pd(b3 + k);
-    // 4x4 transpose: ck = {b0[k], b1[k], b2[k], b3[k]} etc., so lane l
-    // accumulates dot(a, b_l) one k at a time in ascending order.
-    const __m256d t0 = _mm256_unpacklo_pd(r0, r1);
-    const __m256d t1 = _mm256_unpackhi_pd(r0, r1);
-    const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
-    const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
-    const __m256d c0 = _mm256_permute2f128_pd(t0, t2, 0x20);
-    const __m256d c1 = _mm256_permute2f128_pd(t1, t3, 0x20);
-    const __m256d c2 = _mm256_permute2f128_pd(t0, t2, 0x31);
-    const __m256d c3 = _mm256_permute2f128_pd(t1, t3, 0x31);
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(arow[k]), c0));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(arow[k + 1]), c1));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(arow[k + 2]), c2));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(arow[k + 3]), c3));
-  }
-  _mm256_storeu_pd(out, acc);
-  for (; k < n; ++k) {
-    const double av = arow[k];
-    out[0] += av * b0[k];
-    out[1] += av * b1[k];
-    out[2] += av * b2[k];
-    out[3] += av * b3[k];
   }
 }
 
@@ -246,13 +276,11 @@ void CWiseMulAvx2(const double* a, const double* b, int64_t n, double* out) {
 
 constexpr TierOps kAvx2OpsTable = {
     Tier::kAvx2,
-    kGemmJBlocks,
-    static_cast<int>(sizeof(kGemmJBlocks) / sizeof(int)),
     kSpmmCBlocks,
     static_cast<int>(sizeof(kSpmmCBlocks) / sizeof(int)),
-    GemmPanelAvx2,
+    GemmRowAvx2,
+    ListNonzeroAvx2,
     SpmmRowAvx2,
-    Dot4Avx2,
     RowMaxAvx2,
     DivInplaceAvx2,
     SubScalarAvx2,

@@ -1,7 +1,8 @@
 // AVX-512 tier: 8-lane double vectors (zmm), multiply and add kept separate
 // (no FMA — compiled with -ffp-contract=off, no fmadd intrinsics), scalar
 // tails identical to the reference. Requires AVX-512 F+VL+DQ at runtime
-// (checked by dispatch); the 4-lane remainder blocks use VL-encoded ymm ops.
+// (checked by dispatch). GEMM remainders use masked 8-lane ops instead of
+// scalar loops; the SpMM 4-lane remainder blocks use VL-encoded ymm ops.
 #include "kernels/kernel_ops.h"
 
 #if defined(__AVX512F__) && defined(__AVX512VL__) && defined(__AVX512DQ__)
@@ -14,67 +15,99 @@
 namespace ahg::kernels {
 namespace {
 
-constexpr int kGemmJBlocks[] = {8, 16, 32, 64};
 constexpr int kSpmmCBlocks[] = {8, 16, 32, 64};
 
-// NV = number of 8-wide accumulators held across the k panel.
-template <int NV>
-inline void GemmPanelBlock(const double* arow, int kc, const double* b,
-                           int64_t ldb, double* crow) {
+// NV = number of 8-wide accumulators held across the listed k's.
+template <int NV, bool kIndexed>
+inline void GemmRowBlock(const double* arow, const int* kidx, int cnt,
+                         const double* b, int64_t ldb, double* crow) {
   __m512d acc[NV];
+  #pragma GCC unroll 8
   for (int v = 0; v < NV; ++v) acc[v] = _mm512_loadu_pd(crow + 8 * v);
-  for (int k = 0; k < kc; ++k) {
-    const double aik = arow[k];
-    if (aik == 0.0) continue;
-    const __m512d av = _mm512_set1_pd(aik);
+  for (int t = 0; t < cnt; ++t) {
+    const int k = kIndexed ? kidx[t] : t;
+    const __m512d av = _mm512_set1_pd(arow[k]);
     const double* brow = b + static_cast<int64_t>(k) * ldb;
+    #pragma GCC unroll 8
     for (int v = 0; v < NV; ++v) {
       acc[v] = _mm512_add_pd(acc[v],
                              _mm512_mul_pd(av, _mm512_loadu_pd(brow + 8 * v)));
     }
   }
+  #pragma GCC unroll 8
   for (int v = 0; v < NV; ++v) _mm512_storeu_pd(crow + 8 * v, acc[v]);
 }
 
-inline void GemmPanelBlock4(const double* arow, int kc, const double* b,
-                            int64_t ldb, double* crow) {
-  __m256d acc = _mm256_loadu_pd(crow);
-  for (int k = 0; k < kc; ++k) {
-    const double aik = arow[k];
-    if (aik == 0.0) continue;
-    const __m256d av = _mm256_set1_pd(aik);
+// The last n % 8 columns: one masked accumulator. Masked-off lanes load as
+// zero and are never stored.
+template <bool kIndexed>
+inline void GemmRowTail(__mmask8 mask, const double* arow, const int* kidx,
+                        int cnt, const double* b, int64_t ldb, double* crow) {
+  __m512d acc = _mm512_maskz_loadu_pd(mask, crow);
+  for (int t = 0; t < cnt; ++t) {
+    const int k = kIndexed ? kidx[t] : t;
+    const __m512d av = _mm512_set1_pd(arow[k]);
     const double* brow = b + static_cast<int64_t>(k) * ldb;
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(av, _mm256_loadu_pd(brow)));
+    acc = _mm512_add_pd(acc,
+                         _mm512_mul_pd(av, _mm512_maskz_loadu_pd(mask, brow)));
   }
-  _mm256_storeu_pd(crow, acc);
+  _mm512_mask_storeu_pd(crow, mask, acc);
 }
 
-void GemmPanelAvx512(int jblock, const double* arow, int kc, const double* b,
-                     int64_t ldb, int n, double* crow) {
-  if (jblock == 0) jblock = 32;
+template <bool kIndexed>
+void GemmRowImpl(const double* arow, const int* kidx, int cnt,
+                 const double* b, int64_t ldb, int n, double* crow) {
   int j = 0;
-  switch (jblock) {
-    case 64:
-      for (; j + 64 <= n; j += 64) GemmPanelBlock<8>(arow, kc, b + j, ldb, crow + j);
-      [[fallthrough]];
-    case 32:
-      for (; j + 32 <= n; j += 32) GemmPanelBlock<4>(arow, kc, b + j, ldb, crow + j);
-      [[fallthrough]];
-    case 16:
-      for (; j + 16 <= n; j += 16) GemmPanelBlock<2>(arow, kc, b + j, ldb, crow + j);
-      [[fallthrough]];
-    default:
-      for (; j + 8 <= n; j += 8) GemmPanelBlock<1>(arow, kc, b + j, ldb, crow + j);
+  for (; j + 64 <= n; j += 64) {
+    GemmRowBlock<8, kIndexed>(arow, kidx, cnt, b + j, ldb, crow + j);
   }
-  for (; j + 4 <= n; j += 4) GemmPanelBlock4(arow, kc, b + j, ldb, crow + j);
+  if (j + 32 <= n) {
+    GemmRowBlock<4, kIndexed>(arow, kidx, cnt, b + j, ldb, crow + j);
+    j += 32;
+  }
+  if (j + 16 <= n) {
+    GemmRowBlock<2, kIndexed>(arow, kidx, cnt, b + j, ldb, crow + j);
+    j += 16;
+  }
+  if (j + 8 <= n) {
+    GemmRowBlock<1, kIndexed>(arow, kidx, cnt, b + j, ldb, crow + j);
+    j += 8;
+  }
   if (j < n) {
-    for (int k = 0; k < kc; ++k) {
-      const double aik = arow[k];
-      if (aik == 0.0) continue;
-      const double* brow = b + static_cast<int64_t>(k) * ldb;
-      for (int jj = j; jj < n; ++jj) crow[jj] += aik * brow[jj];
-    }
+    const __mmask8 mask = static_cast<__mmask8>((1u << (n - j)) - 1);
+    GemmRowTail<kIndexed>(mask, arow, kidx, cnt, b + j, ldb, crow + j);
   }
+}
+
+void GemmRowAvx512(const double* arow, const int* kidx, int cnt,
+                   const double* b, int64_t ldb, int n, double* crow) {
+  if (kidx != nullptr) {
+    GemmRowImpl<true>(arow, kidx, cnt, b, ldb, n, crow);
+  } else {
+    GemmRowImpl<false>(arow, kidx, cnt, b, ldb, n, crow);
+  }
+}
+
+// Eight lanes per step: compress the lane numbers of the nonzero entries
+// and store only those.
+int ListNonzeroAvx512(const double* x, int n, int* idx) {
+  const __m512d zero = _mm512_setzero_pd();
+  const __m256i step = _mm256_set1_epi32(8);
+  __m256i lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  int cnt = 0;
+  for (int k = 0; k < n; k += 8) {
+    const __mmask8 in_range =
+        static_cast<__mmask8>(n - k >= 8 ? 0xff : (1u << (n - k)) - 1);
+    const __mmask8 nonzero = _mm512_mask_cmp_pd_mask(
+        in_range, _mm512_maskz_loadu_pd(in_range, x + k), zero, _CMP_NEQ_UQ);
+    const int found = __builtin_popcount(nonzero);
+    _mm256_mask_storeu_epi32(idx + cnt,
+                             static_cast<__mmask8>((1u << found) - 1),
+                             _mm256_maskz_compress_epi32(nonzero, lanes));
+    cnt += found;
+    lanes = _mm256_add_epi32(lanes, step);
+  }
+  return cnt;
 }
 
 template <int NV>
@@ -129,40 +162,6 @@ void SpmmRowAvx512(int cblock, const double* values, const int* cols,
       acc += values[e] * x[static_cast<int64_t>(cols[e]) * ldx + c];
     }
     yrow[c] = acc;
-  }
-}
-
-// Same 4x4-transpose dot block as the AVX2 tier (VL-encoded); an 8-row zmm
-// transpose buys little for the k-dot shape, so the 4-wide form is kept.
-void Dot4Avx512(const double* arow, const double* b0, const double* b1,
-                const double* b2, const double* b3, int n, double* out) {
-  __m256d acc = _mm256_setzero_pd();
-  int k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m256d r0 = _mm256_loadu_pd(b0 + k);
-    const __m256d r1 = _mm256_loadu_pd(b1 + k);
-    const __m256d r2 = _mm256_loadu_pd(b2 + k);
-    const __m256d r3 = _mm256_loadu_pd(b3 + k);
-    const __m256d t0 = _mm256_unpacklo_pd(r0, r1);
-    const __m256d t1 = _mm256_unpackhi_pd(r0, r1);
-    const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
-    const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
-    const __m256d c0 = _mm256_permute2f128_pd(t0, t2, 0x20);
-    const __m256d c1 = _mm256_permute2f128_pd(t1, t3, 0x20);
-    const __m256d c2 = _mm256_permute2f128_pd(t0, t2, 0x31);
-    const __m256d c3 = _mm256_permute2f128_pd(t1, t3, 0x31);
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(arow[k]), c0));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(arow[k + 1]), c1));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(arow[k + 2]), c2));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(arow[k + 3]), c3));
-  }
-  _mm256_storeu_pd(out, acc);
-  for (; k < n; ++k) {
-    const double av = arow[k];
-    out[0] += av * b0[k];
-    out[1] += av * b1[k];
-    out[2] += av * b2[k];
-    out[3] += av * b3[k];
   }
 }
 
@@ -264,13 +263,11 @@ void CWiseMulAvx512(const double* a, const double* b, int64_t n, double* out) {
 
 constexpr TierOps kAvx512OpsTable = {
     Tier::kAvx512,
-    kGemmJBlocks,
-    static_cast<int>(sizeof(kGemmJBlocks) / sizeof(int)),
     kSpmmCBlocks,
     static_cast<int>(sizeof(kSpmmCBlocks) / sizeof(int)),
-    GemmPanelAvx512,
+    GemmRowAvx512,
+    ListNonzeroAvx512,
     SpmmRowAvx512,
-    Dot4Avx512,
     RowMaxAvx512,
     DivInplaceAvx512,
     SubScalarAvx512,

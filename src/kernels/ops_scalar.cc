@@ -10,40 +10,58 @@
 namespace ahg::kernels {
 namespace {
 
-constexpr int kGemmJBlocks[] = {1, 4, 8};
 constexpr int kSpmmCBlocks[] = {4, 8};
 
-void GemmPanelScalar(int jblock, const double* arow, int kc, const double* b,
-                     int64_t ldb, int n, double* crow) {
-  if (jblock == 0) jblock = 4;
-  // Wider requests (a forced variant or profile tuned for a SIMD tier) clamp
-  // to the widest the acc[] locals hold; blocking width never affects values.
-  if (jblock > 8) jblock = 8;
+// JB output columns held in locals across the listed k's.
+template <int JB, bool kIndexed>
+inline void GemmRowBlock(const double* arow, const int* kidx, int cnt,
+                         const double* b, int64_t ldb, double* crow) {
+  double acc[JB];
+  #pragma GCC unroll 8
+  for (int v = 0; v < JB; ++v) acc[v] = crow[v];
+  for (int t = 0; t < cnt; ++t) {
+    const int k = kIndexed ? kidx[t] : t;
+    const double aik = arow[k];
+    const double* brow = b + static_cast<int64_t>(k) * ldb;
+    #pragma GCC unroll 8
+    for (int v = 0; v < JB; ++v) acc[v] += aik * brow[v];
+  }
+  #pragma GCC unroll 8
+  for (int v = 0; v < JB; ++v) crow[v] = acc[v];
+}
+
+template <bool kIndexed>
+void GemmRowImpl(const double* arow, const int* kidx, int cnt,
+                 const double* b, int64_t ldb, int n, double* crow) {
   int j = 0;
-  if (jblock >= 4) {
-    // Hold `jblock` output columns in locals across the whole k panel.
-    for (; j + jblock <= n; j += jblock) {
-      double acc[8];
-      for (int v = 0; v < jblock; ++v) acc[v] = crow[j + v];
-      for (int k = 0; k < kc; ++k) {
-        const double aik = arow[k];
-        if (aik == 0.0) continue;
-        const double* brow = b + static_cast<int64_t>(k) * ldb + j;
-        for (int v = 0; v < jblock; ++v) acc[v] += aik * brow[v];
-      }
-      for (int v = 0; v < jblock; ++v) crow[j + v] = acc[v];
-    }
+  for (; j + 8 <= n; j += 8) {
+    GemmRowBlock<8, kIndexed>(arow, kidx, cnt, b + j, ldb, crow + j);
   }
-  // Unblocked remainder (also the jblock==1 whole-row path): k outer,
-  // j inner — the original MatMul inner loop.
-  if (j < n) {
-    for (int k = 0; k < kc; ++k) {
-      const double aik = arow[k];
-      if (aik == 0.0) continue;
-      const double* brow = b + static_cast<int64_t>(k) * ldb;
-      for (int jj = j; jj < n; ++jj) crow[jj] += aik * brow[jj];
-    }
+  if (j + 4 <= n) {
+    GemmRowBlock<4, kIndexed>(arow, kidx, cnt, b + j, ldb, crow + j);
+    j += 4;
   }
+  for (; j < n; ++j) {
+    GemmRowBlock<1, kIndexed>(arow, kidx, cnt, b + j, ldb, crow + j);
+  }
+}
+
+void GemmRowScalar(const double* arow, const int* kidx, int cnt,
+                   const double* b, int64_t ldb, int n, double* crow) {
+  if (kidx != nullptr) {
+    GemmRowImpl<true>(arow, kidx, cnt, b, ldb, n, crow);
+  } else {
+    GemmRowImpl<false>(arow, kidx, cnt, b, ldb, n, crow);
+  }
+}
+
+int ListNonzeroScalar(const double* x, int n, int* idx) {
+  int cnt = 0;
+  for (int k = 0; k < n; ++k) {
+    idx[cnt] = k;
+    cnt += x[k] != 0.0;
+  }
+  return cnt;
 }
 
 void SpmmRowScalar(int cblock, const double* values, const int* cols,
@@ -68,22 +86,6 @@ void SpmmRowScalar(int cblock, const double* values, const int* cols,
     }
     yrow[c] = acc;
   }
-}
-
-void Dot4Scalar(const double* arow, const double* b0, const double* b1,
-                const double* b2, const double* b3, int n, double* out) {
-  double d0 = 0.0, d1 = 0.0, d2 = 0.0, d3 = 0.0;
-  for (int k = 0; k < n; ++k) {
-    const double av = arow[k];
-    d0 += av * b0[k];
-    d1 += av * b1[k];
-    d2 += av * b2[k];
-    d3 += av * b3[k];
-  }
-  out[0] = d0;
-  out[1] = d1;
-  out[2] = d2;
-  out[3] = d3;
 }
 
 double RowMaxScalar(const double* x, int n) {
@@ -132,13 +134,11 @@ void CWiseMulScalar(const double* a, const double* b, int64_t n, double* out) {
 
 constexpr TierOps kScalarOps = {
     Tier::kScalar,
-    kGemmJBlocks,
-    static_cast<int>(sizeof(kGemmJBlocks) / sizeof(int)),
     kSpmmCBlocks,
     static_cast<int>(sizeof(kSpmmCBlocks) / sizeof(int)),
-    GemmPanelScalar,
+    GemmRowScalar,
+    ListNonzeroScalar,
     SpmmRowScalar,
-    Dot4Scalar,
     RowMaxScalar,
     DivInplaceScalar,
     SubScalarScalar,

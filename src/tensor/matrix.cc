@@ -27,35 +27,76 @@ constexpr int64_t kTuneMinWork = 1 << 20;
 // Candidate k-panel sizes (rows of B kept hot per slab) for GEMM tuning.
 constexpr int kGemmKPanels[] = {64, 128, 256};
 
+// Largest k-panel the per-row nonzero index list holds. Larger tuned or
+// forced panels clamp to it; the panel size never affects values.
+constexpr int kMaxKPanel = 256;
+
+// Rows of A per MatMulTransA partial. Not a tuning knob: it fixes the FP
+// grouping of the cross-chunk reduction (see kernels/kernel_ops.h).
+constexpr int64_t kReduceChunk = 2048;
+
+// Rows of A packed (transposed) per MatMulTransA k-panel: the matching
+// rows of B stay cache-hot while every column of A runs against them.
+constexpr int kTransAPanel = 128;
+// Row stride of the packed panel, padded off a power of two so the packing
+// writes (one per panel row for each row of A) do not all land in the same
+// few cache sets.
+constexpr int kTransAPanelLd = kTransAPanel + 8;
+
 int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
 
-// Runs one GEMM candidate over the first `bench_rows` rows and returns
-// elapsed ns. Accumulates into c's real rows; the caller re-zeros them
-// before the production pass, so the benchmark leaves no trace.
-double BenchGemmCandidate(const kernels::TierOps& ops,
-                          const kernels::GemmChoice& cand, const Matrix& a,
-                          const Matrix& b, int bench_rows, Matrix* c) {
-  const int64_t t0 = NowNs();
-  for (int k0 = 0; k0 < a.cols(); k0 += cand.kpanel) {
-    const int k1 = std::min(a.cols(), k0 + cand.kpanel);
-    for (int i = 0; i < bench_rows; ++i) {
-      ops.gemm_panel(cand.jblock, a.Row(i) + k0, k1 - k0, b.Row(k0), b.cols(),
-                     b.cols(), c->Row(i));
+int KPanel(const kernels::GemmChoice& choice) {
+  return choice.kpanel > 0 ? std::min(choice.kpanel, kMaxKPanel) : 128;
+}
+
+// One row's k-panel (kc <= kMaxKPanel) through the row kernel. With
+// skip_zeros (A*B, A^T*B) only the nonzero a-entries are listed, in the
+// caller's kidx scratch; without (A*B^T, run on B^T) every product is
+// added.
+inline void GemmRowPanel(const kernels::TierOps& ops, bool skip_zeros,
+                         const double* arow, int kc, const double* b,
+                         int64_t ldb, int n, double* crow, int* kidx) {
+  if (!skip_zeros) {
+    ops.gemm_row(arow, nullptr, kc, b, ldb, n, crow);
+    return;
+  }
+  const int cnt = ops.list_nonzero(arow, kc, kidx);
+  ops.gemm_row(arow, kidx, cnt, b, ldb, n, crow);
+}
+
+// Runs rows [begin, end) of c += a * b panel by panel: the outer k-panel
+// loop keeps a kc x b.cols() slab of B hot in cache while every row
+// streams through it. Each c[i][j] still accumulates k in globally
+// ascending order (panels ascend, k ascends within a panel), whatever the
+// panel size.
+void GemmRowRange(const kernels::TierOps& ops,
+                  const kernels::GemmChoice& choice, bool skip_zeros,
+                  const Matrix& a, const Matrix& b, int64_t begin,
+                  int64_t end, Matrix* c) {
+  const int kpanel = KPanel(choice);
+  int kidx[kMaxKPanel] = {};
+  for (int k0 = 0; k0 < a.cols(); k0 += kpanel) {
+    const int kc = std::min(a.cols() - k0, kpanel);
+    for (int64_t i = begin; i < end; ++i) {
+      GemmRowPanel(ops, skip_zeros, a.Row(static_cast<int>(i)) + k0, kc,
+                   b.Row(k0), b.cols(), b.cols(), c->Row(static_cast<int>(i)),
+                   kidx);
     }
   }
-  return static_cast<double>(NowNs() - t0);
 }
 
 // Resolves the GEMM variant for this shape: forced (tests) > cached >
-// benchmarked-on-first-use > tier default. Any rows the benchmark dirtied
-// are re-zeroed before returning.
+// benchmarked-on-first-use > tier default. The benchmark runs each
+// candidate over the first few rows of c and re-zeros them afterwards, so
+// it leaves no trace. A*B and A*B^T (on B^T) share the table: both run the
+// same row kernel over the same (k, n, m) shape.
 kernels::GemmChoice ResolveGemmChoice(const kernels::TierOps& ops,
                                       const Matrix& a, const Matrix& b,
-                                      Matrix* c) {
+                                      bool skip_zeros, Matrix* c) {
   if (const kernels::GemmChoice* forced = kernels::ForcedGemm()) {
     return *forced;
   }
@@ -69,15 +110,15 @@ kernels::GemmChoice ResolveGemmChoice(const kernels::TierOps& ops,
   kernels::GemmChoice cached;
   if (tuner.LookupGemm(key, &cached)) return cached;
   std::vector<kernels::GemmChoice> candidates;
-  for (int bi = 0; bi < ops.num_gemm_jblocks; ++bi) {
-    for (const int kp : kGemmKPanels) {
-      candidates.push_back(kernels::GemmChoice{ops.gemm_jblocks[bi], kp});
-    }
+  for (const int kp : kGemmKPanels) {
+    candidates.push_back(kernels::GemmChoice{kp});
   }
   const int bench_rows = std::min(a.rows(), 8);
   const kernels::GemmChoice choice = tuner.GetGemm(
       key, candidates, [&](const kernels::GemmChoice& cand) {
-        return BenchGemmCandidate(ops, cand, a, b, bench_rows, c);
+        const int64_t t0 = NowNs();
+        GemmRowRange(ops, cand, skip_zeros, a, b, 0, bench_rows, c);
+        return static_cast<double>(NowNs() - t0);
       });
   if (bench_rows > 0) {
     std::fill(c->Row(0), c->Row(0) + int64_t{bench_rows} * c->cols(), 0.0);
@@ -85,101 +126,21 @@ kernels::GemmChoice ResolveGemmChoice(const kernels::TierOps& ops,
   return choice;
 }
 
-// Resolves the MatMulTransA variant: jblock = column tile width over
-// b.cols() (0 = one untiled pass). Tiling splits each chunk's rank-1
-// updates into column bands so a band of the partial stays register/cache
-// hot; for any fixed output entry the k-accumulation sequence is unchanged,
-// so every tile width is exact. The fixed reduction-chunk size is NOT a
-// knob — it defines the FP grouping of the cross-chunk reduction.
-kernels::GemmChoice ResolveTransAChoice(const kernels::TierOps& ops,
-                                        const Matrix& a, const Matrix& b) {
-  if (const kernels::GemmChoice* forced = kernels::ForcedGemmTransA()) {
-    return *forced;
-  }
-  const int64_t work = int64_t{a.rows()} * a.cols() * b.cols();
-  if (work < kTuneMinWork || !kernels::AutotuneEnabled()) {
-    return kernels::GemmChoice{0, 0};
-  }
-  const std::string key =
-      kernels::GemmShapeKey(ops.tier, a.cols(), b.cols(), a.rows());
-  kernels::KernelTuner& tuner = kernels::KernelTuner::Global();
-  kernels::GemmChoice cached;
-  if (tuner.LookupGemmTransA(key, &cached)) return cached;
-  std::vector<kernels::GemmChoice> candidates{{0, 0}};
-  if (b.cols() > 64) candidates.push_back({64, 0});
-  if (b.cols() > 256) candidates.push_back({256, 0});
-  const int bench_rows = static_cast<int>(std::min<int64_t>(a.rows(), 256));
-  Matrix scratch(a.cols(), b.cols());  // discarded; timing only
-  return tuner.GetGemmTransA(
-      key, candidates, [&](const kernels::GemmChoice& cand) {
-        const int jtile = cand.jblock > 0 ? cand.jblock : b.cols();
-        const int64_t t0 = NowNs();
-        for (int j0 = 0; j0 < b.cols(); j0 += jtile) {
-          const int jw = std::min(b.cols() - j0, jtile);
-          for (int k = 0; k < bench_rows; ++k) {
-            const double* arow = a.Row(k);
-            const double* brow = b.Row(k);
-            for (int i = 0; i < a.cols(); ++i) {
-              const double aki = arow[i];
-              if (aki == 0.0) continue;
-              ops.axpy_inplace(scratch.Row(i) + j0, aki, brow + j0, jw);
-            }
-          }
-        }
-        return static_cast<double>(NowNs() - t0);
-      });
-}
-
-// Resolves the MatMulTransB variant: jblock = tile of b's rows (output
-// columns) processed per pass, i innermost within a pass so the tile of B
-// rows is reused across every row of a. Each c[i][j] is still one complete
-// ascending-k dot (dot4 lanes are independent dots), so tiling is exact.
-kernels::GemmChoice ResolveTransBChoice(const kernels::TierOps& ops,
-                                        const Matrix& a, const Matrix& b,
-                                        Matrix* c) {
-  if (const kernels::GemmChoice* forced = kernels::ForcedGemmTransB()) {
-    return *forced;
-  }
-  const int64_t work = int64_t{a.rows()} * a.cols() * b.rows();
-  if (work < kTuneMinWork || !kernels::AutotuneEnabled()) {
-    return kernels::GemmChoice{0, 0};
-  }
-  const std::string key =
-      kernels::GemmShapeKey(ops.tier, a.cols(), b.rows(), a.rows());
-  kernels::KernelTuner& tuner = kernels::KernelTuner::Global();
-  kernels::GemmChoice cached;
-  if (tuner.LookupGemmTransB(key, &cached)) return cached;
-  std::vector<kernels::GemmChoice> candidates{{0, 0}};
-  if (b.rows() > 64) candidates.push_back({64, 0});
-  if (b.rows() > 256) candidates.push_back({256, 0});
-  // Bench over the first few output rows of c; entries are assigned (not
-  // accumulated) and the production pass overwrites every one, so the
-  // benchmark leaves no trace.
-  const int bench_rows = std::min(a.rows(), 8);
-  return tuner.GetGemmTransB(
-      key, candidates, [&](const kernels::GemmChoice& cand) {
-        const int jtile = cand.jblock > 0 ? cand.jblock : b.rows();
-        const int64_t t0 = NowNs();
-        for (int j0 = 0; j0 < b.rows(); j0 += jtile) {
-          const int j1 = std::min(b.rows(), j0 + jtile);
-          for (int i = 0; i < bench_rows; ++i) {
-            const double* arow = a.Row(i);
-            double* crow = c->Row(i);
-            int j = j0;
-            for (; j + 4 <= j1; j += 4) {
-              ops.dot4(arow, b.Row(j), b.Row(j + 1), b.Row(j + 2),
-                       b.Row(j + 3), a.cols(), crow + j);
-            }
-            for (; j < j1; ++j) {
-              const double* brow = b.Row(j);
-              double dot = 0.0;
-              for (int k = 0; k < a.cols(); ++k) dot += arow[k] * brow[k];
-              crow[j] = dot;
-            }
-          }
-        }
-        return static_cast<double>(NowNs() - t0);
-      });
+// c = a * b (b is k x n) through the row kernel, row-parallel: each output
+// row is owned by one worker, so the result is bitwise identical at every
+// thread count, tier and tuned variant (see kernels/kernel_ops.h). The tier
+// table and variant are resolved on the calling thread before the parallel
+// region so every worker uses the same kernel.
+Matrix GemmRows(const Matrix& a, const Matrix& b, bool skip_zeros) {
+  Matrix c(a.rows(), b.cols());
+  const kernels::TierOps& ops = kernels::ActiveOps();
+  const kernels::GemmChoice choice =
+      ResolveGemmChoice(ops, a, b, skip_zeros, &c);
+  const int64_t work_per_row = int64_t{a.cols()} * b.cols();
+  ParallelForChunked(a.rows(), work_per_row, [&](int64_t begin, int64_t end) {
+    GemmRowRange(ops, choice, skip_zeros, a, b, begin, end, &c);
+  });
+  return c;
 }
 
 }  // namespace
@@ -333,38 +294,13 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
   AHG_CHECK_EQ(a.cols(), b.rows());
   AHG_TRACE_SPAN_ARG("tensor/matmul",
                      int64_t{a.rows()} * a.cols() * b.cols());
-  Matrix c(a.rows(), b.cols());
-  // Row-parallel and cache-blocked over the reduction dimension: the outer
-  // k-panel loop keeps a kc x b.cols() slab of B hot in cache while every
-  // row of the chunk streams through it. Each output row is owned by one
-  // worker, and each c[i][j] still accumulates k in globally ascending
-  // order (panels ascend, k ascends within a panel), so the result is
-  // bitwise identical to the unblocked i-k-j kernel at every thread count
-  // and every dispatch tier (see kernels/kernel_ops.h). The tier table and
-  // tuned variant are resolved on the calling thread before the parallel
-  // region so every worker uses the same kernel.
-  const kernels::TierOps& ops = kernels::ActiveOps();
-  const kernels::GemmChoice choice = ResolveGemmChoice(ops, a, b, &c);
-  const int kpanel = choice.kpanel > 0 ? choice.kpanel : 128;
-  const int64_t work_per_row = int64_t{a.cols()} * b.cols();
-  ParallelForChunked(a.rows(), work_per_row, [&](int64_t begin, int64_t end) {
-    for (int k0 = 0; k0 < a.cols(); k0 += kpanel) {
-      const int k1 = std::min(a.cols(), k0 + kpanel);
-      for (int64_t i = begin; i < end; ++i) {
-        ops.gemm_panel(choice.jblock, a.Row(static_cast<int>(i)) + k0, k1 - k0,
-                       b.Row(k0), b.cols(), b.cols(),
-                       c.Row(static_cast<int>(i)));
-      }
-    }
-  });
-  return c;
+  return GemmRows(a, b, /*skip_zeros=*/true);
 }
 
 Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
   AHG_CHECK_EQ(a.rows(), b.rows());
   AHG_TRACE_SPAN_ARG("tensor/matmul_ta",
                      int64_t{a.rows()} * a.cols() * b.cols());
-  Matrix c(a.cols(), b.cols());
   // Every output entry sums over all of a's rows, so rows of c cannot be
   // handed to one worker each without scattering. Instead partition the
   // reduction dimension into chunks of a *fixed* size (independent of the
@@ -372,42 +308,44 @@ Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
   // and reduce the partials in chunk order on the calling thread. The
   // chunk grid and the reduction order are pure functions of the shapes,
   // so results are bitwise identical for every thread count.
-  constexpr int64_t kReduceChunk = 2048;  // rows of a per partial
-  const int64_t n = a.rows();
-  const int64_t num_chunks = std::max<int64_t>(1, (n + kReduceChunk - 1) / kReduceChunk);
-  const int64_t work_per_chunk =
-      kReduceChunk * int64_t{a.cols()} * b.cols();
+  const int m = a.cols();
+  const int n = b.cols();
+  const int64_t rows = a.rows();
+  const int64_t num_chunks =
+      std::max<int64_t>(1, (rows + kReduceChunk - 1) / kReduceChunk);
   // Partials are allocated on the calling thread; workers only fill them.
   std::vector<Matrix> partial;
   partial.reserve(num_chunks);
-  for (int64_t p = 0; p < num_chunks; ++p) {
-    partial.emplace_back(a.cols(), b.cols());
-  }
+  for (int64_t p = 0; p < num_chunks; ++p) partial.emplace_back(m, n);
   const kernels::TierOps& ops = kernels::ActiveOps();
-  // Tuned column tile (see ResolveTransAChoice): exact for any width, so
-  // the tuner is free to pick per shape. Resolved on the calling thread.
-  const kernels::GemmChoice choice = ResolveTransAChoice(ops, a, b);
-  const int jtile = choice.jblock > 0 ? choice.jblock : b.cols();
-  ParallelForChunked(num_chunks, work_per_chunk,
+  ParallelForChunked(num_chunks, kReduceChunk * m * n,
                      [&](int64_t begin, int64_t end) {
+    // Each k-panel of the chunk is packed transposed, so column i of a is
+    // a contiguous row of `panel` that runs through the A*B row kernel
+    // (zero-skip included) against the panel's rows of b, which stay hot
+    // across all m columns.
+    std::vector<double> panel(static_cast<size_t>(m) * kTransAPanelLd);
+    int kidx[kTransAPanel] = {};
     for (int64_t p = begin; p < end; ++p) {
-      Matrix& local = partial[p];
-      const int64_t k_end = std::min(n, (p + 1) * kReduceChunk);
-      for (int j0 = 0; j0 < b.cols(); j0 += jtile) {
-        const int jw = std::min(b.cols() - j0, jtile);
-        for (int64_t k = p * kReduceChunk; k < k_end; ++k) {
-          const double* arow = a.Row(static_cast<int>(k));
-          const double* brow = b.Row(static_cast<int>(k));
-          for (int i = 0; i < a.cols(); ++i) {
-            const double aki = arow[i];
-            if (aki == 0.0) continue;
-            // Rank-1 band update local[i][j0..j0+jw) += aki * brow — an axpy.
-            ops.axpy_inplace(local.Row(i) + j0, aki, brow + j0, jw);
+      const int c0 = static_cast<int>(p * kReduceChunk);
+      const int c1 = static_cast<int>(std::min(rows, (p + 1) * kReduceChunk));
+      for (int k0 = c0; k0 < c1; k0 += kTransAPanel) {
+        const int kc = std::min(c1 - k0, kTransAPanel);
+        for (int k = 0; k < kc; ++k) {
+          const double* arow = a.Row(k0 + k);
+          for (int i = 0; i < m; ++i) {
+            panel[static_cast<size_t>(i) * kTransAPanelLd + k] = arow[i];
           }
+        }
+        for (int i = 0; i < m; ++i) {
+          GemmRowPanel(ops, /*skip_zeros=*/true,
+                       panel.data() + static_cast<size_t>(i) * kTransAPanelLd,
+                       kc, b.Row(k0), n, n, partial[p].Row(i), kidx);
         }
       }
     }
   });
+  Matrix c(m, n);
   for (int64_t p = 0; p < num_chunks; ++p) c.AddInPlace(partial[p]);
   return c;
 }
@@ -416,39 +354,10 @@ Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
   AHG_CHECK_EQ(a.cols(), b.cols());
   AHG_TRACE_SPAN_ARG("tensor/matmul_tb",
                      int64_t{a.rows()} * a.cols() * b.rows());
-  Matrix c(a.rows(), b.rows());
-  // Register-blocked over j: four dot products share each arow[k] load.
-  // Every dot still accumulates its own k in ascending order (the SIMD dot4
-  // transposes 4x4 blocks of B so each lane adds one k term at a time), so
-  // values are bitwise identical to the one-j-at-a-time kernel.
-  const kernels::TierOps& ops = kernels::ActiveOps();
-  // Tuned j-tile (see ResolveTransBChoice): a band of B rows stays hot
-  // across every row of the worker's range. Exact for any tile width since
-  // each c[i][j] is one complete ascending-k dot either way.
-  const kernels::GemmChoice choice = ResolveTransBChoice(ops, a, b, &c);
-  const int jtile = choice.jblock > 0 ? choice.jblock : b.rows();
-  const int64_t work_per_row = int64_t{a.cols()} * b.rows();
-  ParallelForChunked(a.rows(), work_per_row, [&](int64_t begin, int64_t end) {
-    for (int j0 = 0; j0 < b.rows(); j0 += jtile) {
-      const int j1 = std::min(b.rows(), j0 + jtile);
-      for (int64_t i = begin; i < end; ++i) {
-        const double* arow = a.Row(static_cast<int>(i));
-        double* crow = c.Row(static_cast<int>(i));
-        int j = j0;
-        for (; j + 4 <= j1; j += 4) {
-          ops.dot4(arow, b.Row(j), b.Row(j + 1), b.Row(j + 2), b.Row(j + 3),
-                   a.cols(), crow + j);
-        }
-        for (; j < j1; ++j) {
-          const double* brow = b.Row(j);
-          double dot = 0.0;
-          for (int k = 0; k < a.cols(); ++k) dot += arow[k] * brow[k];
-          crow[j] = dot;
-        }
-      }
-    }
-  });
-  return c;
+  // B is a weight (a few hundred rows at most): transposing it once turns
+  // A*B^T into the A*B row kernel with every product added, so each
+  // c[i][j] is one ascending-k dot from +0.0, as before.
+  return GemmRows(a, Transpose(b), /*skip_zeros=*/false);
 }
 
 Matrix Transpose(const Matrix& a) {

@@ -1,11 +1,14 @@
 // Kernel backend tests: 64-byte allocation alignment on every Matrix path,
-// the bitwise-identity matrix across dispatch tiers x kernel variants x odd
+// golden GEMM checks against naive loops written in this file, the
+// bitwise-identity matrix across dispatch tiers x kernel variants x odd
 // shapes x thread counts, odd-shape edge cases, and tuning-profile
 // round-trips (persist -> reload -> same variant, no re-benchmark).
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -183,34 +186,237 @@ TEST(BitwiseTest, DenseOpsMatchScalarAcrossTiersShapesThreads) {
   }
 }
 
-TEST(BitwiseTest, GemmVariantSweepIsExact) {
-  const Matrix a = RandomMatrix(37, 29, 101);
-  const Matrix b = RandomMatrix(29, 23, 102);
-  Matrix base;
-  {
-    ScopedTier scalar(Tier::kScalar);
-    base = MatMul(a, b);
+// Golden references, written out here and independent of TierOps: the
+// naive loops that define each GEMM's arithmetic (see kernels/kernel_ops.h).
+// Every element sums from +0.0 in ascending k; A*B and A^T*B skip zero
+// a-entries; A^T*B sums fixed 2048-row chunks, then adds the chunk sums in
+// order onto a zeroed output.
+Matrix NaiveMatMul(const Matrix& a, const Matrix& b) {
+  Matrix c(a.rows(), b.cols());
+  for (int i = 0; i < a.rows(); ++i) {
+    for (int j = 0; j < b.cols(); ++j) {
+      double sum = 0.0;
+      for (int k = 0; k < a.cols(); ++k) {
+        if (a(i, k) != 0.0) sum += a(i, k) * b(k, j);
+      }
+      c(i, j) = sum;
+    }
   }
+  return c;
+}
+
+Matrix NaiveMatMulTransA(const Matrix& a, const Matrix& b) {
+  constexpr int kChunk = 2048;
+  Matrix c(a.cols(), b.cols());
+  for (int k0 = 0; k0 < a.rows(); k0 += kChunk) {
+    const int k1 = std::min(a.rows(), k0 + kChunk);
+    for (int i = 0; i < a.cols(); ++i) {
+      for (int j = 0; j < b.cols(); ++j) {
+        double sum = 0.0;
+        for (int k = k0; k < k1; ++k) {
+          if (a(k, i) != 0.0) sum += a(k, i) * b(k, j);
+        }
+        c(i, j) = c(i, j) + sum;
+      }
+    }
+  }
+  return c;
+}
+
+Matrix NaiveMatMulTransB(const Matrix& a, const Matrix& b) {
+  Matrix c(a.rows(), b.rows());
+  for (int i = 0; i < a.rows(); ++i) {
+    for (int j = 0; j < b.rows(); ++j) {
+      double sum = 0.0;
+      for (int k = 0; k < a.cols(); ++k) sum += a(i, k) * b(j, k);
+      c(i, j) = sum;
+    }
+  }
+  return c;
+}
+
+// Bitwise equality, except that any two NaNs match (a NaN's payload may
+// depend on operand order, which the contract does not pin).
+::testing::AssertionResult SameBitsOrBothNaN(const Matrix& got,
+                                             const Matrix& want) {
+  if (got.rows() != want.rows() || got.cols() != want.cols()) {
+    return ::testing::AssertionFailure()
+           << "shape " << got.rows() << "x" << got.cols() << " vs "
+           << want.rows() << "x" << want.cols();
+  }
+  for (int64_t i = 0; i < got.size(); ++i) {
+    const double g = got.data()[i];
+    const double w = want.data()[i];
+    if (std::isnan(g) && std::isnan(w)) continue;
+    if (std::memcmp(&g, &w, sizeof(double)) != 0) {
+      return ::testing::AssertionFailure()
+             << "flat index " << i << ": " << g << " vs " << w;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// ~30% +0.0, ~10% -0.0 and every fifth row all zero, so both the zero-skip
+// and the sign of zero sums are exercised.
+Matrix ZeroHeavyMatrix(int rows, int cols, uint64_t seed) {
+  Rng rng(seed);
+  Matrix m(rows, cols);
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < cols; ++c) {
+      const double u = rng.Uniform();
+      double v = rng.Normal(0.0, 1.0);
+      if (r % 5 == 4 || u < 0.3) {
+        v = 0.0;
+      } else if (u < 0.4) {
+        v = -0.0;
+      } else if (u < 0.45) {
+        v *= 1e-200;  // the product of two such entries underflows to +-0.0
+      }
+      m(r, c) = v;
+    }
+  }
+  return m;
+}
+
+std::vector<Tier> AllSupportedTiers() {
   std::vector<Tier> tiers = SupportedSimdTiers();
   tiers.push_back(Tier::kScalar);
-  for (const Tier tier : tiers) {
-    const TierOps& ops = kernels::OpsFor(tier);
-    for (int bi = 0; bi < ops.num_gemm_jblocks; ++bi) {
-      for (const int kpanel : {64, 128, 256}) {
+  return tiers;
+}
+
+TEST(GoldenGemmTest, MatMulAndTransBMatchNaiveLoops) {
+  ScopedMinParallelWork grain(1);
+  uint64_t seed = 900;
+  for (const int k : {5, 300}) {  // 300 > the widest k-panel (256)
+    for (const int n : {1, 7, 8, 9, 31, 33, 127}) {
+      const Matrix a = ZeroHeavyMatrix(13, k, seed++);
+      const Matrix b = ZeroHeavyMatrix(k, n, seed++);
+      const Matrix bt = ZeroHeavyMatrix(n, k, seed++);
+      const Matrix want_mm = NaiveMatMul(a, b);
+      const Matrix want_tb = NaiveMatMulTransB(a, bt);
+      for (const Tier tier : AllSupportedTiers()) {
+        for (const int threads : {1, 4}) {
+          for (const int kpanel : {0, 64}) {  // 0 = the default panel
+            ScopedTier t(tier);
+            ScopedNumThreads nt(threads);
+            ScopedForcedGemm forced(GemmChoice{kpanel});
+            EXPECT_TRUE(SameBitsOrBothNaN(MatMul(a, b), want_mm))
+                << "matmul k " << k << " n " << n << " tier "
+                << kernels::TierName(tier) << " threads " << threads
+                << " kpanel " << kpanel;
+            EXPECT_TRUE(SameBitsOrBothNaN(MatMulTransB(a, bt), want_tb))
+                << "matmul_tb k " << k << " n " << n << " tier "
+                << kernels::TierName(tier) << " threads " << threads
+                << " kpanel " << kpanel;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GoldenGemmTest, TransAMatchesNaiveChunkedLoops) {
+  ScopedMinParallelWork grain(1);
+  uint64_t seed = 950;
+  for (const int rows : {1, 2047, 2048, 2049, 4100}) {
+    for (const int m : {1, 9, 33}) {
+      for (const int n : {1, 7, 8, 33}) {
+        const Matrix a = ZeroHeavyMatrix(rows, m, seed++);
+        const Matrix b = ZeroHeavyMatrix(rows, n, seed++);
+        const Matrix want = NaiveMatMulTransA(a, b);
+        for (const Tier tier : AllSupportedTiers()) {
+          for (const int threads : {1, 4}) {
+            ScopedTier t(tier);
+            ScopedNumThreads nt(threads);
+            EXPECT_TRUE(SameBitsOrBothNaN(MatMulTransA(a, b), want))
+                << "rows " << rows << " m " << m << " n " << n << " tier "
+                << kernels::TierName(tier) << " threads " << threads;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GoldenGemmTest, NonFiniteOppositeZeroFollowsTheSkipRule) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  constexpr int kZeroK = 3;
+  for (const int n : {1, 7, 9, 33}) {
+    // A*B: column kZeroK of A is +0.0/-0.0, row kZeroK of B is inf/NaN.
+    Matrix a = ZeroHeavyMatrix(11, 12, 1000 + n);
+    Matrix b = ZeroHeavyMatrix(12, n, 1100 + n);
+    for (int i = 0; i < a.rows(); ++i) a(i, kZeroK) = i % 2 ? -0.0 : 0.0;
+    for (int j = 0; j < n; ++j) b(kZeroK, j) = j % 2 ? nan : -inf;
+    // A^T*B: row kZeroK of A is zero, row kZeroK of B is inf/NaN; 2100
+    // rows put the bad row in the first of two chunks.
+    Matrix ta = ZeroHeavyMatrix(2100, 10, 1200 + n);
+    Matrix tb = ZeroHeavyMatrix(2100, n, 1300 + n);
+    for (int i = 0; i < ta.cols(); ++i) ta(kZeroK, i) = i % 2 ? -0.0 : 0.0;
+    for (int j = 0; j < n; ++j) tb(kZeroK, j) = j % 2 ? inf : nan;
+    // A*B^T: column kZeroK of A is zero, column kZeroK of B^T is inf.
+    Matrix bt(n, 12);
+    for (int j = 0; j < n; ++j) {
+      for (int k = 0; k < 12; ++k) bt(j, k) = k == kZeroK ? inf : 1.0;
+    }
+    const Matrix want_mm = NaiveMatMul(a, b);
+    const Matrix want_ta = NaiveMatMulTransA(ta, tb);
+    const Matrix want_tb = NaiveMatMulTransB(a, bt);
+    for (const Tier tier : AllSupportedTiers()) {
+      for (const int threads : {1, 4}) {
         ScopedTier t(tier);
-        ScopedForcedGemm forced(GemmChoice{ops.gemm_jblocks[bi], kpanel});
+        ScopedNumThreads nt(threads);
+        const Matrix mm = MatMul(a, b);
+        const Matrix mta = MatMulTransA(ta, tb);
+        const Matrix mtb = MatMulTransB(a, bt);
+        for (int64_t i = 0; i < mm.size(); ++i) {
+          ASSERT_TRUE(std::isfinite(mm.data()[i]))
+              << "matmul n " << n << " " << kernels::TierName(tier);
+        }
+        for (int64_t i = 0; i < mta.size(); ++i) {
+          ASSERT_TRUE(std::isfinite(mta.data()[i]))
+              << "matmul_ta n " << n << " " << kernels::TierName(tier);
+        }
+        for (int64_t i = 0; i < mtb.size(); ++i) {
+          ASSERT_TRUE(std::isnan(mtb.data()[i]))
+              << "matmul_tb n " << n << " " << kernels::TierName(tier);
+        }
+        EXPECT_TRUE(SameBitsOrBothNaN(mm, want_mm)) << kernels::TierName(tier);
+        EXPECT_TRUE(SameBitsOrBothNaN(mta, want_ta)) << kernels::TierName(tier);
+        EXPECT_TRUE(SameBitsOrBothNaN(mtb, want_tb)) << kernels::TierName(tier);
+      }
+    }
+  }
+}
+
+TEST(BitwiseTest, GemmVariantSweepIsExact) {
+  // The k-panel is the only GEMM variant. n = 127 runs every register block
+  // width of every tier (64, 32, 16, 8, 4 and the tail) in one row.
+  for (const int n : {23, 127}) {
+    const Matrix a = RandomMatrix(37, 29, 101);
+    const Matrix b = RandomMatrix(29, n, 102);
+    Matrix base;
+    {
+      ScopedTier scalar(Tier::kScalar);
+      base = MatMul(a, b);
+    }
+    std::vector<Tier> tiers = SupportedSimdTiers();
+    tiers.push_back(Tier::kScalar);
+    for (const Tier tier : tiers) {
+      for (const int kpanel : {1, 8, 64, 128, 256}) {
+        ScopedTier t(tier);
+        ScopedForcedGemm forced(GemmChoice{kpanel});
         EXPECT_TRUE(BitwiseEqual(MatMul(a, b), base))
-            << kernels::TierName(tier) << " jblock " << ops.gemm_jblocks[bi]
-            << " kpanel " << kpanel;
+            << kernels::TierName(tier) << " n " << n << " kpanel " << kpanel;
       }
     }
   }
 }
 
 TEST(BitwiseTest, TransposedGemmVariantSweepIsExact) {
-  // Tiling the TransA/TransB passes regroups which output entries a pass
-  // touches but never the per-element accumulation order, so every forced
-  // tile width must reproduce the scalar untiled result bit for bit.
+  // A*B^T runs the A*B row kernel on B^T, so every forced k-panel must
+  // reproduce the scalar result bit for bit; A^T*B has no variants but must
+  // match at every tier and thread count.
   const Matrix a = RandomMatrix(31, 19, 201);   // k x m for TransA
   const Matrix b = RandomMatrix(31, 23, 202);   // k x n
   const Matrix c = RandomMatrix(17, 19, 203);   // m x k for TransB
@@ -218,25 +424,21 @@ TEST(BitwiseTest, TransposedGemmVariantSweepIsExact) {
   Matrix base_ta, base_tb;
   {
     ScopedTier scalar(Tier::kScalar);
-    kernels::ScopedForcedGemmTransA fa(GemmChoice{0, 0});
-    kernels::ScopedForcedGemmTransB fb(GemmChoice{0, 0});
     base_ta = MatMulTransA(a, b);
     base_tb = MatMulTransB(c, d);
   }
   std::vector<Tier> tiers = SupportedSimdTiers();
   tiers.push_back(Tier::kScalar);
   for (const Tier tier : tiers) {
-    for (const int tile : {0, 4, 16, 64}) {
+    for (const int kpanel : {1, 8, 64}) {
       for (const int threads : {1, 4}) {
         ScopedTier t(tier);
         ScopedNumThreads nt(threads);
-        kernels::ScopedForcedGemmTransA fa(GemmChoice{tile, 0});
-        kernels::ScopedForcedGemmTransB fb(GemmChoice{tile, 0});
+        ScopedForcedGemm forced(GemmChoice{kpanel});
         EXPECT_TRUE(BitwiseEqual(MatMulTransA(a, b), base_ta))
-            << "trans_a " << kernels::TierName(tier) << " tile " << tile
-            << " threads " << threads;
+            << "trans_a " << kernels::TierName(tier) << " threads " << threads;
         EXPECT_TRUE(BitwiseEqual(MatMulTransB(c, d), base_tb))
-            << "trans_b " << kernels::TierName(tier) << " tile " << tile
+            << "trans_b " << kernels::TierName(tier) << " kpanel " << kpanel
             << " threads " << threads;
       }
     }
@@ -396,7 +598,7 @@ TEST(EdgeTest, GemmNarrowerThanRegisterBlock) {
     tiers.push_back(Tier::kScalar);
     for (const Tier tier : tiers) {
       ScopedTier t(tier);
-      ScopedForcedGemm forced(GemmChoice{8, 128});
+      ScopedForcedGemm forced(GemmChoice{128});
       EXPECT_TRUE(BitwiseEqual(MatMul(a, b), base))
           << kernels::TierName(tier) << " n " << n;
     }
@@ -406,15 +608,13 @@ TEST(EdgeTest, GemmNarrowerThanRegisterBlock) {
 TEST(TuningTest, FirstUseBenchmarksThenCaches) {
   KernelTuner tuner;
   int bench_calls = 0;
-  const std::vector<GemmChoice> candidates = {
-      {4, 64}, {8, 128}, {16, 256}};
+  const std::vector<GemmChoice> candidates = {{64}, {128}, {256}};
   auto bench = [&](const GemmChoice& c) {
     ++bench_calls;
-    return c.jblock == 8 ? 1.0 : 2.0;  // make {8,128} the winner
+    return c.kpanel == 128 ? 1.0 : 2.0;  // make {128} the winner
   };
   const GemmChoice first = tuner.GetGemm("avx2:k31:n64:m4096", candidates,
                                          bench);
-  EXPECT_EQ(first.jblock, 8);
   EXPECT_EQ(first.kpanel, 128);
   EXPECT_EQ(bench_calls, 3);
   EXPECT_EQ(tuner.benchmark_runs(), 1);
@@ -424,55 +624,41 @@ TEST(TuningTest, FirstUseBenchmarksThenCaches) {
         ADD_FAILURE() << "cached entry re-benchmarked";
         return 0.0;
       });
-  EXPECT_EQ(again.jblock, 8);
+  EXPECT_EQ(again.kpanel, 128);
   EXPECT_EQ(tuner.benchmark_runs(), 1);
 }
 
 TEST(TuningTest, ProfileRoundTripSkipsRebenchmark) {
   KernelTuner tuner;
-  tuner.GetGemm("avx512:k64:n64:m4096", {{8, 64}, {32, 256}},
-                [](const GemmChoice& c) { return c.jblock == 32 ? 1.0 : 2.0; });
+  tuner.GetGemm("avx512:k64:n64:m4096", {{64}, {256}},
+                [](const GemmChoice& c) { return c.kpanel == 256 ? 1.0 : 2.0; });
   tuner.GetSpmm("avx512:r4096:z16384:c64", {{8, false}, {16, true}},
                 [](const SpmmChoice& c) { return c.nnz_split ? 1.0 : 2.0; });
-  tuner.GetGemmTransA("avx512:ta:k64:n64:m4096", {{0, 0}, {16, 0}},
-                      [](const GemmChoice& c) { return c.jblock == 16 ? 1.0 : 2.0; });
-  tuner.GetGemmTransB("avx512:tb:k64:n64:m4096", {{0, 0}, {32, 0}},
-                      [](const GemmChoice& c) { return c.jblock == 0 ? 1.0 : 2.0; });
-  EXPECT_EQ(tuner.entries(), 4);
-  EXPECT_EQ(tuner.benchmark_runs(), 4);
+  EXPECT_EQ(tuner.entries(), 2);
+  EXPECT_EQ(tuner.benchmark_runs(), 2);
 
   const std::string profile = tuner.Serialize();
   EXPECT_EQ(profile.rfind("ahg-tuning 1\n", 0), 0u);
 
   KernelTuner reloaded;
   ASSERT_TRUE(reloaded.Deserialize(profile));
-  EXPECT_EQ(reloaded.entries(), 4);
+  EXPECT_EQ(reloaded.entries(), 2);
   EXPECT_EQ(reloaded.benchmark_runs(), 0);  // loading is not benchmarking
   GemmChoice g;
   ASSERT_TRUE(reloaded.LookupGemm("avx512:k64:n64:m4096", &g));
-  EXPECT_EQ(g.jblock, 32);
   EXPECT_EQ(g.kpanel, 256);
   SpmmChoice s;
   ASSERT_TRUE(reloaded.LookupSpmm("avx512:r4096:z16384:c64", &s));
   EXPECT_EQ(s.cblock, 16);
   EXPECT_TRUE(s.nnz_split);
-  GemmChoice ta;
-  ASSERT_TRUE(reloaded.LookupGemmTransA("avx512:ta:k64:n64:m4096", &ta));
-  EXPECT_EQ(ta.jblock, 16);
-  GemmChoice tb;
-  ASSERT_TRUE(reloaded.LookupGemmTransB("avx512:tb:k64:n64:m4096", &tb));
-  EXPECT_EQ(tb.jblock, 0);
-  // The transposed kinds live in separate tables: a gemm_ta key must not
-  // answer a plain gemm lookup.
-  EXPECT_FALSE(reloaded.LookupGemm("avx512:ta:k64:n64:m4096", &g));
   // The reloaded tuner serves the same variant with no benchmark callback
   // invocation at all.
   const GemmChoice served = reloaded.GetGemm(
-      "avx512:k64:n64:m4096", {{8, 64}, {32, 256}}, [](const GemmChoice&) {
+      "avx512:k64:n64:m4096", {{64}, {256}}, [](const GemmChoice&) {
         ADD_FAILURE() << "profile entry re-benchmarked after reload";
         return 0.0;
       });
-  EXPECT_EQ(served.jblock, 32);
+  EXPECT_EQ(served.kpanel, 256);
   EXPECT_EQ(reloaded.benchmark_runs(), 0);
 }
 
@@ -481,25 +667,17 @@ TEST(TuningTest, SaveLoadFileRoundTrip) {
   const std::string path =
       std::string(base ? base : "/tmp") + "/ahg_kernels_test_tuning.ahgt";
   KernelTuner tuner;
-  tuner.PutGemm("scalar:k8:n8:m64", GemmChoice{4, 64});
+  tuner.PutGemm("scalar:k8:n8:m64", GemmChoice{64});
   tuner.PutSpmm("scalar:r64:z256:c8", SpmmChoice{8, true});
-  tuner.PutGemmTransA("scalar:ta:k8:n8:m64", GemmChoice{8, 0});
-  tuner.PutGemmTransB("scalar:tb:k8:n8:m64", GemmChoice{16, 0});
   ASSERT_TRUE(tuner.SaveFile(path));
   KernelTuner loaded;
   ASSERT_TRUE(loaded.LoadFile(path));
   GemmChoice g;
   ASSERT_TRUE(loaded.LookupGemm("scalar:k8:n8:m64", &g));
-  EXPECT_EQ(g.jblock, 4);
+  EXPECT_EQ(g.kpanel, 64);
   SpmmChoice s;
   ASSERT_TRUE(loaded.LookupSpmm("scalar:r64:z256:c8", &s));
   EXPECT_TRUE(s.nnz_split);
-  GemmChoice ta;
-  ASSERT_TRUE(loaded.LookupGemmTransA("scalar:ta:k8:n8:m64", &ta));
-  EXPECT_EQ(ta.jblock, 8);
-  GemmChoice tb;
-  ASSERT_TRUE(loaded.LookupGemmTransB("scalar:tb:k8:n8:m64", &tb));
-  EXPECT_EQ(tb.jblock, 16);
   EXPECT_FALSE(loaded.LoadFile(path + ".does_not_exist"));
   std::remove(path.c_str());
 }
@@ -508,12 +686,12 @@ TEST(TuningTest, DisabledAutotunePicksFirstCandidateWithoutBenchmark) {
   KernelTuner tuner;
   kernels::SetAutotuneEnabled(false);
   const GemmChoice c = tuner.GetGemm(
-      "scalar:k4:n4:m16", {{1, 64}, {8, 256}}, [](const GemmChoice&) {
+      "scalar:k4:n4:m16", {{64}, {256}}, [](const GemmChoice&) {
         ADD_FAILURE() << "benchmarked with autotune disabled";
         return 0.0;
       });
   kernels::SetAutotuneEnabled(true);
-  EXPECT_EQ(c.jblock, 1);
+  EXPECT_EQ(c.kpanel, 64);
   EXPECT_EQ(tuner.benchmark_runs(), 0);
 }
 
@@ -536,6 +714,29 @@ TEST(TuningTest, MalformedProfileRejectedOrSkipped) {
       "gemm_ta\tscalar:k8:n8:m8\t4\t64x\n"
       "spmm\tscalar:r4:z4:c4\t4294967300\t1\n"));
   EXPECT_EQ(tuner.entries(), 1);
+}
+
+TEST(TuningTest, OldProfilesLoadWithObsoleteRowsSkipped) {
+  // Profiles written when A^T*B and A*B^T had their own tile-width tables
+  // and gemm rows carried a register-block width still load: the transposed
+  // rows are skipped like any unknown kind, and a gemm row's width field is
+  // ignored (and written back as 0).
+  KernelTuner tuner;
+  ASSERT_TRUE(tuner.Deserialize(
+      "ahg-tuning 1\n"
+      "gemm\tavx512:k128:n32:m4096\t16\t256\n"
+      "gemm_ta\tavx512:k128:n32:m4096\t0\t0\n"
+      "gemm_tb\tavx512:k32:n128:m4096\t64\t0\n"
+      "spmm\tavx512:r16384:z131072:c24\t16\t1\n"));
+  EXPECT_EQ(tuner.entries(), 2);
+  GemmChoice g;
+  ASSERT_TRUE(tuner.LookupGemm("avx512:k128:n32:m4096", &g));
+  EXPECT_EQ(g.kpanel, 256);
+  EXPECT_FALSE(tuner.LookupGemm("avx512:k32:n128:m4096", &g));
+  const std::string saved = tuner.Serialize();
+  EXPECT_EQ(saved.find("gemm_t"), std::string::npos);
+  EXPECT_NE(saved.find("gemm\tavx512:k128:n32:m4096\t0\t256\n"),
+            std::string::npos);
 }
 
 }  // namespace
