@@ -117,12 +117,6 @@ int main(int argc, char** argv) {
   config.train.patience = 10;
   config.train.num_threads = threads;  // 0 = keep the global setting
   config.train.learning_rate = 2e-2;
-  // Memory-plane fast path: both switches are bitwise-neutral, so they can
-  // be flipped per run without changing predictions.
-  config.train.pooling = HasFlag(argc, argv, "--pooling");
-  config.train.fusion = HasFlag(argc, argv, "--fusion");
-  config.proxy.train.pooling = config.train.pooling;
-  config.proxy.train.fusion = config.train.fusion;
   config.bagging_splits = 2;
   config.time_budget_seconds = ds.time_budget_seconds;
 

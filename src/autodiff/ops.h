@@ -38,7 +38,7 @@ Var AddRowVector(const Var& m, const Var& bias);
 // chain (three outputs plus a captured activation copy). Forward and
 // backward replicate the unfused chain's per-element arithmetic and
 // accumulation order exactly, so results are bitwise identical to the
-// three-op form. nn/Linear::ApplyRelu selects this when FusionEnabled().
+// three-op form. nn/Linear::ApplyRelu always uses it.
 Var LinearRelu(const Var& x, const Var& w, const Var& b);
 
 // Activations.

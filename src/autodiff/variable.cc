@@ -103,7 +103,7 @@ void Backward(const Var& root) {
       node->backward_fn(*node);
       // Reverse-topo order means every consumer of this op node has already
       // run, and only consumers read a node's grad — it is dead from here
-      // on. With pooling enabled, hand the buffer back immediately so the
+      // on. Inside an arena, hand the buffer back immediately so the
       // sweep's later (larger, earlier-layer) grads recycle it instead of
       // growing the arena; leaves keep their grads for the optimizer.
       if (PoolingEnabled()) node->grad = Matrix();

@@ -13,6 +13,7 @@
 #include "metrics/metrics.h"
 #include "nn/linear.h"
 #include "nn/optimizer.h"
+#include "tensor/pool.h"
 #include "util/string_util.h"
 
 namespace ahg {
@@ -25,6 +26,8 @@ std::vector<Matrix> TrainMemberKeepWeights(const ModelConfig& config,
                                            const DataSplit& split,
                                            const TrainConfig& train_config,
                                            int num_classes) {
+  // One arena per fit, as in TrainSingleNodeModel (tensor/pool.h).
+  ScopedArena arena;
   std::unique_ptr<GnnModel> model = BuildModel(config);
   Rng head_rng(config.seed ^ 0x5ca1ab1eULL);
   Linear head(model->params(), config.hidden_dim, num_classes, /*bias=*/true,

@@ -109,6 +109,9 @@ StatusOr<SavedModel> LoadModel(const std::string& path) {
       !ReadU64(in, &seed) || !ReadU32(in, &count)) {
     return Status::InvalidArgument("truncated model header in " + path);
   }
+  if (!IsKnownModelFamily(family)) {
+    return Status::InvalidArgument("unknown model family in " + path);
+  }
   model.config.family = static_cast<ModelFamily>(family);
   model.config.in_dim = static_cast<int>(in_dim);
   model.config.hidden_dim = static_cast<int>(hidden);

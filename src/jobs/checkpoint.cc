@@ -73,8 +73,10 @@ class Writer {
     I32(c.lr_decay_every);
     U64(c.seed);
     I32(c.num_threads);
-    Bool(c.pooling);
-    Bool(c.fusion);
+    // Two retired memory-plane flag slots, kept so the record layout (and
+    // kFormatVersion) is unchanged.
+    Bool(false);
+    Bool(false);
   }
 
   void Candidate(const CandidateSpec& c) {
@@ -146,10 +148,11 @@ class Reader {
   }
   bool I64(int64_t* v) { return Raw(v, sizeof(*v)); }
   bool F64(double* v) { return Raw(v, sizeof(*v)); }
+  // Only 0 and 1 decode; any other word is corruption.
   bool Bool(bool* v) {
     uint32_t x = 0;
-    if (!U32(&x)) return false;
-    *v = x != 0;
+    if (!U32(&x) || x > 1) return false;
+    *v = x == 1;
     return true;
   }
 
@@ -184,7 +187,7 @@ class Reader {
 
   bool ModelCfg(ModelConfig* c) {
     uint32_t family = 0;
-    if (!U32(&family)) return false;
+    if (!U32(&family) || !IsKnownModelFamily(family)) return false;
     c->family = static_cast<ModelFamily>(family);
     return I32(&c->in_dim) && I32(&c->hidden_dim) && I32(&c->num_layers) &&
            F64(&c->dropout) && I32(&c->heads) && F64(&c->attention_slope) &&
@@ -193,10 +196,11 @@ class Reader {
   }
 
   bool TrainCfg(TrainConfig* c) {
+    bool retired = false;  // the two retired flag slots, read and dropped
     return I32(&c->max_epochs) && I32(&c->patience) &&
            F64(&c->learning_rate) && F64(&c->weight_decay) &&
            F64(&c->lr_decay) && I32(&c->lr_decay_every) && U64(&c->seed) &&
-           I32(&c->num_threads) && Bool(&c->pooling) && Bool(&c->fusion);
+           I32(&c->num_threads) && Bool(&retired) && Bool(&retired);
   }
 
   bool Candidate(CandidateSpec* c) {

@@ -51,6 +51,13 @@ enum class ModelFamily {
 
 const char* ModelFamilyName(ModelFamily family);
 
+// True when `value` is the number of a ModelFamily enumerator. Decoders
+// check a stored family word with this before casting it, so an unknown
+// family fails at load instead of aborting in BuildModel.
+inline bool IsKnownModelFamily(int64_t value) {
+  return value >= 0 && value <= static_cast<int64_t>(ModelFamily::kAgnn);
+}
+
 // Architecture hyper-parameters. A single struct keeps zoo factories
 // uniform; families ignore the knobs they do not use.
 struct ModelConfig {

@@ -17,8 +17,8 @@ class Linear {
   // x is n x in_dim; returns n x out_dim.
   Var Apply(const Var& x) const;
 
-  // relu(Apply(x)), using the fused single-buffer op when FusionEnabled()
-  // (tensor/pool.h); bitwise identical either way.
+  // relu(Apply(x)) as one fused single-buffer op (autodiff LinearRelu),
+  // bitwise identical to the three-op chain.
   Var ApplyRelu(const Var& x) const;
 
   int in_dim() const { return in_dim_; }

@@ -7,7 +7,6 @@
 #include "graph/reorder.h"
 #include "nn/linear.h"
 #include "obs/trace.h"
-#include "tensor/pool.h"
 #include "util/string_util.h"
 
 namespace ahg::serve {
@@ -31,18 +30,13 @@ InferenceEngine::InferenceEngine(const Graph* graph,
       cache_(options.shared_cache != nullptr ? options.shared_cache
                                              : &own_cache_),
       scope_(options.cache_scope),
-      stats_(stats),
-      pooling_(options.pooling),
-      fusion_(options.fusion) {
+      stats_(stats) {
   AHG_CHECK(graph != nullptr);
   AHG_CHECK(scope_.find('/') == std::string::npos);
 }
 
 StatusOr<std::shared_ptr<const Matrix>> InferenceEngine::HiddenStates(
     const ServableModel& model) {
-  // Covers the miss-path frozen forward; flags are thread-local, so this
-  // applies on whichever request thread runs the compute.
-  ScopedMemPlane mem_plane(pooling_, fusion_);
   // One consistent (graph, generation) pair for the whole request; a
   // concurrent SwapGraph retargets later requests, never this one.
   const Graph* graph;
@@ -93,7 +87,6 @@ StatusOr<Matrix> InferenceEngine::PredictNodes(const ServableModel& model,
                                                const std::vector<int>& nodes) {
   AHG_TRACE_SPAN_ARG("serve/predict_nodes",
                      static_cast<int64_t>(nodes.size()));
-  ScopedMemPlane mem_plane(pooling_, fusion_);
   auto hidden = HiddenStates(model);
   if (!hidden.ok()) return hidden.status();
   const Matrix& h = *hidden.value();
@@ -124,7 +117,6 @@ StatusOr<Matrix> InferenceEngine::PredictNodes(const ServableModel& model,
 }
 
 StatusOr<Matrix> InferenceEngine::PredictAll(const ServableModel& model) {
-  ScopedMemPlane mem_plane(pooling_, fusion_);
   auto hidden = HiddenStates(model);
   if (!hidden.ok()) return hidden.status();
   Matrix probs = ApplyClassifierHead(*hidden.value(), model);

@@ -9,7 +9,11 @@
 // stack. Because every kernel on both paths is deterministic across thread
 // counts (see README "Threading model") and each output row depends only on
 // its own input row, served probabilities are bitwise identical to the
-// training-path eval forward regardless of batching or thread count.
+// training-path eval forward regardless of batching or thread count. The
+// frozen forward always runs the fused kernels and transforms solely-owned
+// activations in place (autodiff/ops.h); it opens no arena, so cached
+// products are ordinary heap buffers that an LRU eviction frees
+// (tensor/pool.h).
 #ifndef AUTOHENS_SERVE_INFERENCE_ENGINE_H_
 #define AUTOHENS_SERVE_INFERENCE_ENGINE_H_
 
@@ -39,13 +43,6 @@ struct EngineOptions {
   // LRU budget for cached propagation products; <= 0 means unbounded.
   // Ignored when `shared_cache` is set.
   int64_t cache_byte_budget = int64_t{256} << 20;
-  // Recycle per-request tensor buffers (gathered rows, head outputs, cache
-  // recomputes) through the MatrixPool (tensor/pool.h). The pool stays warm
-  // across requests — no arena trim on the serving path — so steady-state
-  // queries allocate nothing. Bitwise-neutral.
-  bool pooling = false;
-  // Fused kernels on the frozen forward + head path. Bitwise-neutral.
-  bool fusion = false;
   // When set, the engine caches its propagation products here instead of in
   // a private cache — the fabric points every tenant engine of a shard at
   // one cache so the shard has a single LRU byte budget. Must outlive the
@@ -129,8 +126,6 @@ class InferenceEngine : public NodePredictor {
   PropagationCache* const cache_;  // &own_cache_ or options.shared_cache
   const std::string scope_;        // options.cache_scope
   ServeStats* const stats_;
-  const bool pooling_;
-  const bool fusion_;
 };
 
 }  // namespace ahg::serve

@@ -126,9 +126,7 @@ Status ValidateServableModel(const ServableModel& model) {
       model.config.heads <= 0 || model.config.poly_order <= 0) {
     return Status::InvalidArgument("model config has degenerate dimensions");
   }
-  if (static_cast<int>(model.config.family) < 0 ||
-      static_cast<int>(model.config.family) >
-          static_cast<int>(ModelFamily::kAgnn)) {
+  if (!IsKnownModelFamily(static_cast<int64_t>(model.config.family))) {
     return Status::InvalidArgument("unknown model family in config");
   }
   if (model.params.size() < 3) {

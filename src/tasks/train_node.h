@@ -1,7 +1,9 @@
 // Full-batch training of a single node-classification model: a zoo model
 // plus a linear classifier head on its last layer output, Adam with weight
 // decay, stepwise LR decay, and early stopping on validation accuracy with
-// best-epoch prediction capture (the paper's appendix A1 protocol).
+// best-epoch prediction capture (the paper's appendix A1 protocol). Each
+// fit runs inside one ScopedArena (tensor/pool.h), so its steps recycle
+// tensor buffers and the pool is trimmed back when the fit returns.
 #ifndef AUTOHENS_TASKS_TRAIN_NODE_H_
 #define AUTOHENS_TASKS_TRAIN_NODE_H_
 
@@ -26,12 +28,11 @@ struct TrainConfig {
   // SetNumThreads() setting. Ignored when training already runs inside a
   // parallel region (e.g. proxy evaluation), where kernels execute inline.
   int num_threads = 0;
-  // Recycle tensor buffers through the thread-local MatrixPool for the
-  // duration of the run (tensor/pool.h); a run-scoped arena trims the pool
-  // back to its entry watermark on exit. Bitwise-neutral.
+  // Ignored: every fit pools inside its own arena and always fuses
+  // (tensor/pool.h). Kept only because perfbench's EnableMemoryPlane still
+  // assigns them; delete both together. The job store writes a constant in
+  // their place.
   bool pooling = false;
-  // Use fused single-pass kernels (Linear+ReLU, masked-row cross-entropy).
-  // Bitwise-neutral; independent of `pooling`.
   bool fusion = false;
   // Optional cooperative cancellation, polled at epoch boundaries. A
   // cancelled run returns its best-so-far result early; callers that need

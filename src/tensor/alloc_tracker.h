@@ -2,10 +2,10 @@
 //
 // Every Matrix heap allocation/release reports here; the runtime-statistics
 // bench (Table VI of the paper) reads the peak to reproduce the paper's
-// "Peak GPU" column on our CPU substrate. With the MatrixPool enabled
+// "Peak GPU" column on our CPU substrate. Inside a ScopedArena
 // (tensor/pool.h), only real heap traffic is counted: a pool hit neither
 // adds bytes nor bumps AllocationCount(), so a steady-state training step
-// with pooling on reports zero new allocations — the property the
+// inside an arena reports zero new allocations — the property the
 // perf-smoke CI job asserts. Bytes parked in the pool's free lists remain
 // counted as live (they are resident, exactly like the GPU-allocator pools
 // the paper's nvidia-smi numbers include).

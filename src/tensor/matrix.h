@@ -73,7 +73,7 @@ class Matrix {
   double SquaredNorm() const;
 
  private:
-  // Draws from the MatrixPool when pooling is enabled on this thread (see
+  // Draws from the MatrixPool inside a ScopedArena on this thread (see
   // tensor/pool.h); `zero` is false only for paths that overwrite every
   // entry immediately (copies).
   void Allocate(int rows, int cols, bool zero = true);
@@ -82,7 +82,7 @@ class Matrix {
   int rows_ = 0;
   int cols_ = 0;
   // True when data_ came from the MatrixPool; Release() returns pooled
-  // buffers to the pool even if pooling has been switched off since.
+  // buffers to the pool even after the arena that drew them has closed.
   bool pooled_ = false;
   double* data_ = nullptr;
 };

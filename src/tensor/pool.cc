@@ -14,7 +14,6 @@ namespace ahg {
 namespace {
 
 thread_local bool tl_pooling = false;
-thread_local bool tl_fusion = false;
 
 struct PoolMetrics {
   obs::Counter* hits;
@@ -169,28 +168,13 @@ int64_t MatrixPool::IdleBytes() const {
 
 bool PoolingEnabled() { return tl_pooling; }
 
-bool FusionEnabled() { return tl_fusion; }
-
-ScopedMemPlane::ScopedMemPlane(bool pooling, bool fusion)
-    : saved_pooling_(tl_pooling), saved_fusion_(tl_fusion) {
-  tl_pooling = pooling;
-  tl_fusion = fusion;
-}
-
-ScopedMemPlane::~ScopedMemPlane() {
-  tl_pooling = saved_pooling_;
-  tl_fusion = saved_fusion_;
-}
-
-ScopedArena::ScopedArena(bool enable) : enabled_(enable) {
-  if (!enabled_) return;
-  saved_pooling_ = tl_pooling;
+ScopedArena::ScopedArena()
+    : saved_pooling_(tl_pooling),
+      entry_idle_bytes_(MatrixPool::Global().IdleBytes()) {
   tl_pooling = true;
-  entry_idle_bytes_ = MatrixPool::Global().IdleBytes();
 }
 
 ScopedArena::~ScopedArena() {
-  if (!enabled_) return;
   tl_pooling = saved_pooling_;
   MatrixPool::Global().TrimTo(entry_idle_bytes_);
 }

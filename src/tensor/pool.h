@@ -1,26 +1,32 @@
-// Memory-plane fast path: a shape-bucketed recycling pool for Matrix
-// buffers plus the thread-local switches that turn it (and the fused
-// kernels) on.
+// Memory plane: a shape-bucketed recycling pool for Matrix buffers and the
+// run-scoped arena that turns it on.
 //
 // Why: the autodiff engine constructs fresh Matrix values and gradients per
 // node per step, so a zoo sweep churns the heap on every epoch even though
-// the shapes repeat exactly. With pooling enabled, Matrix::Allocate draws
+// the shapes repeat exactly. Inside a ScopedArena, Matrix::Allocate draws
 // from per-size free lists and ~Matrix returns buffers instead of freeing
-// them; after one warm-up step the steady-state train/proxy/serve step
-// performs zero tensor heap allocations (asserted in tests/pool_test.cc via
+// them; after one warm-up step the steady-state train step performs zero
+// tensor heap allocations (asserted in tests/pool_test.cc via
 // AllocTracker::AllocationCount()).
+//
+// Scope, not switches: pooling is on exactly inside a ScopedArena, and
+// every single-model training fit (tasks/train_node, the member retrain in
+// core/trained_ensemble) opens one. Nothing else pools. The gradient-search
+// supernet and the serving engines allocate from the heap: a serving cache
+// product drawn from the pool, with no arena ever trimming it, would stay
+// parked after LRU eviction for the life of the process. The fused kernels
+// (autodiff/ops.h) need no switch either; they are always on.
 //
 // Determinism: a pooled buffer is zero-filled before reuse, exactly like
 // the `new double[n]()` it replaces, and no kernel changes its reduction
-// order based on the flag — results are bitwise identical with pooling (and
-// fusion) on vs. off, at every thread count.
+// order inside an arena — results are bitwise identical inside and outside
+// one, at every thread count.
 //
-// Threading: the enable flags are thread-local (a training run on a proxy
-// worker flips only its own allocations) while the pool itself is a
+// Threading: the pooling bit is thread-local (an arena on a proxy worker
+// pools only that worker's allocations) while the pool itself is a
 // process-wide, mutex-guarded singleton, so a buffer allocated on one
-// thread may be released from another (serving caches do this). The mutex
-// also publishes buffer contents between threads, so recycling is
-// TSan-clean by construction.
+// thread may be released from another. The mutex also publishes buffer
+// contents between threads, so recycling is TSan-clean by construction.
 #ifndef AUTOHENS_TENSOR_POOL_H_
 #define AUTOHENS_TENSOR_POOL_H_
 
@@ -72,51 +78,27 @@ class MatrixPool {
   int64_t IdleBytes() const;
 };
 
-// True when Matrix allocations on this thread go through the pool.
+// True when Matrix allocations on this thread go through the pool, i.e.
+// inside a ScopedArena.
 bool PoolingEnabled();
 
-// True when the fused single-pass kernels (Linear->ReLU, masked
-// cross-entropy, in-place inference elementwise) are active on this thread.
-// Fused kernels preserve the exact per-element accumulation order of their
-// unfused forms, so flipping this never changes results.
-bool FusionEnabled();
-
-// RAII thread-local switch for both flags. Sets pooling/fusion to the given
-// values (true or false — a nested scope can switch either off) and
-// restores the previous values on destruction. Does not trim the pool; use
-// ScopedArena for run-scoped reclamation.
-class ScopedMemPlane {
- public:
-  ScopedMemPlane(bool pooling, bool fusion);
-  ~ScopedMemPlane();
-
-  ScopedMemPlane(const ScopedMemPlane&) = delete;
-  ScopedMemPlane& operator=(const ScopedMemPlane&) = delete;
-
- private:
-  bool saved_pooling_;
-  bool saved_fusion_;
-};
-
-// Run-scoped arena: enables pooling on this thread for the scope's
+// Run-scoped arena: pools this thread's allocations for the scope's
 // lifetime and, on destruction, trims the global pool back to the idle-byte
 // watermark observed at entry — every temporary the scope parked is
 // reclaimed at once, while buffers that predate the scope stay warm.
-// Training runs wrap each model fit in one ScopedArena; steps inside the
-// scope recycle through the free lists. Pass enable=false for a no-op (the
-// config-flag-off path). Nestable.
+// Training wraps each model fit in one ScopedArena; steps inside the scope
+// recycle through the free lists. Nestable.
 class ScopedArena {
  public:
-  explicit ScopedArena(bool enable = true);
+  ScopedArena();
   ~ScopedArena();
 
   ScopedArena(const ScopedArena&) = delete;
   ScopedArena& operator=(const ScopedArena&) = delete;
 
  private:
-  bool enabled_;
-  bool saved_pooling_ = false;
-  int64_t entry_idle_bytes_ = 0;
+  bool saved_pooling_;
+  int64_t entry_idle_bytes_;
 };
 
 }  // namespace ahg

@@ -220,6 +220,19 @@ TEST(ModelStoreTest, PlausibleDimsBeyondFileSizeRejectedBeforeAllocation) {
   EXPECT_EQ(loaded.status().code(), Status::Code::kInvalidArgument);
 }
 
+TEST(ModelStoreTest, RejectsUnknownFamily) {
+  const std::string path = WriteReferenceModel("model_store_family.ahgm");
+  std::vector<char> bytes = ReadAllBytes(path);
+  // The family word follows magic(4) + version(4).
+  const uint32_t unknown = 99;
+  std::memcpy(bytes.data() + 8, &unknown, sizeof(unknown));
+  const std::string patched = TempDir("model_store_family2.ahgm");
+  WriteBytes(patched, bytes, bytes.size());
+  auto loaded = LoadModel(patched);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), Status::Code::kInvalidArgument);
+}
+
 TEST(ModelStoreTest, RoundTripStillWorksAfterHardening) {
   const std::string path = WriteReferenceModel("model_store_ok.ahgm");
   auto loaded = LoadModel(path);

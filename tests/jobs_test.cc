@@ -405,6 +405,46 @@ TEST(JobStoreTest, StateWithMalformedNumberIsRejected) {
   }
 }
 
+// Overwrites the 4-byte word at `offset` (from the end when negative).
+void PatchU32(const std::string& path, int64_t offset, uint32_t value) {
+  std::string bytes = ReadBytes(path);
+  const size_t at = offset < 0 ? bytes.size() + offset : offset;
+  ASSERT_LE(at + sizeof(value), bytes.size());
+  std::memcpy(bytes.data() + at, &value, sizeof(value));
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// A family word naming no ModelFamily fails the load instead of reaching
+// BuildModel's abort.
+TEST(JobStoreTest, SpecWithUnknownFamilyIsRejected) {
+  JobStore store(FreshRoot("spec_family"));
+  SearchJobSpec spec = MakeSpec("rt", JobAlgo::kAdaptive);
+  ASSERT_TRUE(store.CreateJob(spec).ok());
+  // magic + version + kind, job id and dataset strings (u64 length +
+  // bytes), algo u32, candidate count u64, first candidate's name string;
+  // the family word opens its ModelConfig.
+  const size_t family_offset = 3 * 4 + (8 + spec.job_id.size()) +
+                               (8 + spec.dataset.size()) + 4 + 8 +
+                               (8 + spec.candidates[0].name.size());
+  PatchU32(store.JobDir("rt") + "/spec.bin", family_offset, 99);
+  EXPECT_EQ(store.LoadJobSpec("rt").status().code(),
+            Status::Code::kInvalidArgument);
+}
+
+// Bool words decode only from 0 and 1.
+TEST(JobStoreTest, CheckpointWithNonBooleanDoneWordIsRejected) {
+  JobStore store(FreshRoot("ckpt_bool"));
+  ASSERT_TRUE(store.CreateJob(MakeSpec("rt", JobAlgo::kGradient)).ok());
+  SearchJobCheckpoint ckpt;
+  ckpt.train_done = true;
+  ASSERT_TRUE(store.SaveJobCheckpoint("rt", ckpt).ok());
+  ASSERT_TRUE(store.LoadJobCheckpoint("rt").ok());
+  // train_done is the record's last word.
+  PatchU32(store.JobDir("rt") + "/checkpoint.bin", -4, 2);
+  EXPECT_FALSE(store.LoadJobCheckpoint("rt").ok());
+}
+
 // --- SearchJob -----------------------------------------------------------
 
 TEST(SearchJobTest, HierarchicalRunPublishes) {

@@ -108,7 +108,7 @@ TEST(AlignmentTest, EveryAllocationPathIs64ByteAligned) {
 
   // Pooled: both the miss (heap) and the hit (recycled) must be aligned.
   {
-    ScopedMemPlane plane(/*pooling=*/true, /*fusion=*/false);
+    ScopedArena arena;
     double* first = nullptr;
     {
       Matrix pooled(13, 17);  // odd size: miss -> aligned heap alloc

@@ -1,9 +1,11 @@
-// Memory-plane fast path: MatrixPool recycling, arena trimming,
-// AllocTracker accounting, fused-kernel bitwise identity and the
-// steady-state zero-allocation guarantee for training steps.
+// Memory plane: MatrixPool recycling, arena trimming, AllocTracker
+// accounting, fused-kernel bitwise identity, training steps that are
+// bitwise identical inside and outside a ScopedArena, and the steady-state
+// zero-allocation guarantee for training steps.
 #include "tensor/pool.h"
 
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -11,13 +13,13 @@
 #include "graph/split.h"
 #include "graph/synthetic.h"
 #include "gtest/gtest.h"
+#include "models/model.h"
 #include "nn/linear.h"
 #include "nn/optimizer.h"
-#include "serve/inference_engine.h"
-#include "tasks/train_node.h"
 #include "tensor/alloc_tracker.h"
 #include "tensor/matrix.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace ahg {
 namespace {
@@ -30,7 +32,7 @@ bool BitwiseEqual(const Matrix& a, const Matrix& b) {
 }
 
 TEST(MatrixPoolTest, HitReturnsZeroedRecycledBuffer) {
-  ScopedMemPlane plane(/*pooling=*/true, /*fusion=*/false);
+  ScopedArena arena;
   const MatrixPoolStats before = MatrixPool::Global().Stats();
   const double* first;
   {
@@ -45,13 +47,13 @@ TEST(MatrixPoolTest, HitReturnsZeroedRecycledBuffer) {
   EXPECT_GE(after.hits, before.hits + 1);
 }
 
-TEST(MatrixPoolTest, PooledBufferReturnsToPoolAfterFlagOff) {
+TEST(MatrixPoolTest, PooledBufferReturnsToPoolAfterArenaExit) {
   Matrix m;
   {
-    ScopedMemPlane plane(/*pooling=*/true, /*fusion=*/false);
+    ScopedArena arena;
     m = Matrix(5, 5);
   }
-  // Pooling is off again, but the buffer is pool-origin: destroying the
+  // The arena has closed, but the buffer is pool-origin: destroying the
   // matrix must hand it back to the pool, not the heap.
   const MatrixPoolStats before = MatrixPool::Global().Stats();
   m = Matrix();
@@ -60,7 +62,6 @@ TEST(MatrixPoolTest, PooledBufferReturnsToPoolAfterFlagOff) {
 }
 
 TEST(MatrixPoolTest, ArenaTrimsBackToEntryWatermark) {
-  ScopedMemPlane plane(/*pooling=*/true, /*fusion=*/false);
   const int64_t idle_before = MatrixPool::Global().IdleBytes();
   {
     ScopedArena arena;
@@ -71,7 +72,7 @@ TEST(MatrixPoolTest, ArenaTrimsBackToEntryWatermark) {
 }
 
 TEST(MatrixPoolTest, PoolHitsDoNotCountAsHeapAllocations) {
-  ScopedMemPlane plane(/*pooling=*/true, /*fusion=*/false);
+  ScopedArena arena;
   { Matrix warm(11, 17); }  // seed the bucket (may heap-allocate)
   const int64_t count_before = AllocTracker::AllocationCount();
   { Matrix hit(11, 17); }
@@ -88,7 +89,7 @@ TEST(MatrixPoolTest, ConcurrentAcquireReleaseAndCrossThreadFree) {
     std::vector<std::thread> workers;
     for (int t = 0; t < kThreads; ++t) {
       workers.emplace_back([t, &handoff] {
-        ScopedMemPlane plane(/*pooling=*/true, /*fusion=*/false);
+        ScopedArena arena;
         for (int i = 0; i < kIters; ++i) {
           Matrix a(3 + (i % 5), 8);
           Matrix b(16, 16);
@@ -178,25 +179,24 @@ TEST(FusedOpsTest, LinearReluMatchesUnfusedChainBitwise) {
   }
 }
 
-TEST(FusedOpsTest, MaskedCrossEntropyFusionIsBitwiseIdentical) {
+// MaskedCrossEntropy reads only the masked rows; its loss must equal the
+// reference that indexes the full RowLogSoftmax, bit for bit.
+TEST(FusedOpsTest, MaskedCrossEntropyMatchesFullLogSoftmaxBitwise) {
   Rng rng(5);
   Matrix logits_v = Matrix::Gaussian(20, 4, 1.5, &rng);
   std::vector<int> labels(20);
   for (int i = 0; i < 20; ++i) labels[i] = i % 4;
   std::vector<int> mask = {0, 3, 7, 11, 19};
 
-  auto run = [&](bool fusion) {
-    ScopedMemPlane plane(/*pooling=*/false, fusion);
-    Var logits = MakeParam(logits_v);
-    Var loss = MaskedCrossEntropy(logits, labels, mask);
-    Backward(loss);
-    return std::vector<Matrix>{loss->value, logits->grad};
-  };
+  const Matrix logp = RowLogSoftmax(logits_v);
+  double nll = 0.0;
+  for (int idx : mask) nll -= logp(idx, labels[idx]);
+  const double expected = nll * (1.0 / static_cast<double>(mask.size()));
 
-  const auto off = run(false);
-  const auto on = run(true);
-  EXPECT_TRUE(BitwiseEqual(off[0], on[0]));
-  EXPECT_TRUE(BitwiseEqual(off[1], on[1]));
+  Var loss = MaskedCrossEntropy(MakeParam(logits_v), labels, mask);
+  const double got = loss->value(0, 0);
+  EXPECT_EQ(std::memcmp(&got, &expected, sizeof(double)), 0)
+      << got << " vs " << expected;
 }
 
 Graph SmallGraph(uint64_t seed) {
@@ -221,108 +221,112 @@ ModelConfig ZooConfig(ModelFamily family) {
   return cfg;
 }
 
-// Training with pooling + fusion on must reproduce the plain run bitwise,
-// for every exercised zoo family and across kernel thread counts.
-TEST(MemPlaneBitwiseTest, TrainedProbsIdenticalAcrossPoolFusionAndThreads) {
+// The steps of a training fit — zoo model, linear head, Adam and a dropout
+// stream — without TrainSingleNodeModel's arena, so each test chooses
+// whether they run inside one.
+class TrainSteps {
+ public:
+  TrainSteps(ModelFamily family, const Graph& g, const DataSplit& split)
+      : g_(g), split_(split), dropout_rng_(17) {
+    ModelConfig cfg = ZooConfig(family);
+    cfg.in_dim = g.feature_dim();
+    model_ = BuildModel(cfg);
+    Rng init_rng(cfg.seed ^ 0x9e3779b9ULL);
+    head_ = std::make_unique<Linear>(model_->params(), cfg.hidden_dim,
+                                     g.num_classes(), /*bias=*/true,
+                                     &init_rng);
+    optimizer_ = std::make_unique<Adam>(model_->params()->params(),
+                                        AdamConfig{});
+    features_ = MakeConstant(g.features());
+  }
+
+  void Step() {
+    model_->params()->ZeroGrad();
+    Backward(MaskedCrossEntropy(Logits(/*training=*/true), g_.labels(),
+                                split_.train));
+    optimizer_->Step();
+  }
+
+  // Every parameter, then the eval-mode logits.
+  std::vector<Matrix> ParamsAndLogits() {
+    std::vector<Matrix> out = model_->params()->Snapshot();
+    out.push_back(Logits(/*training=*/false)->value);
+    return out;
+  }
+
+ private:
+  Var Logits(bool training) {
+    GnnContext ctx;
+    ctx.graph = &g_;
+    ctx.training = training;
+    ctx.rng = &dropout_rng_;
+    return head_->Apply(model_->LayerOutputs(ctx, features_).back());
+  }
+
+  const Graph& g_;
+  const DataSplit& split_;
+  Rng dropout_rng_;
+  std::unique_ptr<GnnModel> model_;
+  std::unique_ptr<Linear> head_;
+  std::unique_ptr<Adam> optimizer_;
+  Var features_;
+};
+
+// Pooling changes where buffers come from, never what is computed: six
+// steps inside a ScopedArena must reproduce the same steps outside any
+// arena bitwise, for every exercised zoo family and kernel thread count.
+TEST(MemPlaneBitwiseTest, TrainStepsIdenticalInsideArenaAcrossThreads) {
   const Graph g = SmallGraph(21);
   Rng rng(4);
   DataSplit split = RandomSplit(g, 0.5, 0.2, &rng);
   const ModelFamily families[] = {ModelFamily::kGcn,   ModelFamily::kMlp,
                                   ModelFamily::kTagcn, ModelFamily::kGin,
                                   ModelFamily::kGcnii, ModelFamily::kJkMax};
+  auto run = [&](ModelFamily family) {
+    TrainSteps steps(family, g, split);
+    for (int i = 0; i < 6; ++i) steps.Step();
+    return steps.ParamsAndLogits();
+  };
   for (ModelFamily family : families) {
-    TrainConfig base;
-    base.max_epochs = 6;
-    base.patience = 6;
-    base.seed = 9;
-    base.num_threads = 1;
-    const NodeTrainResult plain =
-        TrainSingleNodeModel(ZooConfig(family), g, split, base);
+    std::vector<Matrix> plain;
+    {
+      ScopedNumThreads one(1);
+      plain = run(family);
+    }
     for (int threads : {1, 2, 4}) {
-      TrainConfig fast = base;
-      fast.pooling = true;
-      fast.fusion = true;
-      fast.num_threads = threads;
-      const NodeTrainResult pooled =
-          TrainSingleNodeModel(ZooConfig(family), g, split, fast);
-      EXPECT_TRUE(BitwiseEqual(plain.probs, pooled.probs))
-          << ModelFamilyName(family) << " threads=" << threads;
-      EXPECT_EQ(plain.best_epoch, pooled.best_epoch)
-          << ModelFamilyName(family) << " threads=" << threads;
+      ScopedNumThreads scoped(threads);
+      const int64_t hits_before = MatrixPool::Global().Stats().hits;
+      std::vector<Matrix> pooled;
+      {
+        ScopedArena arena;
+        pooled = run(family);
+      }
+      EXPECT_GT(MatrixPool::Global().Stats().hits, hits_before)
+          << ModelFamilyName(family) << ": the arena did not pool";
+      ASSERT_EQ(plain.size(), pooled.size());
+      for (size_t i = 0; i < plain.size(); ++i) {
+        EXPECT_TRUE(BitwiseEqual(plain[i], pooled[i]))
+            << ModelFamilyName(family) << " threads=" << threads
+            << (i + 1 == plain.size() ? " logits" : " param ") << i;
+      }
     }
   }
 }
 
-// The frozen serving forward (inference mode: fused + in-place elementwise)
-// must also be bitwise identical with the memory plane on.
-TEST(MemPlaneBitwiseTest, ServedProbsIdenticalWithPoolingAndFusion) {
-  const Graph g = SmallGraph(33);
-  const ModelFamily families[] = {ModelFamily::kGcn, ModelFamily::kTagcn,
-                                  ModelFamily::kGin, ModelFamily::kGcnii,
-                                  ModelFamily::kGatedGnn, ModelFamily::kArma};
-  for (ModelFamily family : families) {
-    serve::ServableModel model;
-    model.version = 1;
-    model.num_classes = g.num_classes();
-    model.config = ZooConfig(family);
-    model.config.in_dim = g.feature_dim();
-    std::unique_ptr<GnnModel> zoo = BuildModel(model.config);
-    Rng head_rng(7);
-    Linear head(zoo->params(), model.config.hidden_dim, model.num_classes,
-                /*bias=*/true, &head_rng);
-    model.params = zoo->params()->Snapshot();
-
-    serve::EngineOptions plain_opts;
-    serve::InferenceEngine plain(&g, plain_opts);
-    serve::EngineOptions fast_opts;
-    fast_opts.pooling = true;
-    fast_opts.fusion = true;
-    serve::InferenceEngine fast(&g, fast_opts);
-
-    auto a = plain.PredictAll(model);
-    auto b = fast.PredictAll(model);
-    ASSERT_TRUE(a.ok() && b.ok()) << ModelFamilyName(family);
-    EXPECT_TRUE(BitwiseEqual(a.value(), b.value())) << ModelFamilyName(family);
-  }
-}
-
 // The acceptance bar for the memory plane: after warm-up, a full GCN train
-// step (forward, loss, backward, Adam) performs zero tensor heap
-// allocations — every buffer is a pool hit.
+// step (forward, loss, backward, Adam) inside an arena performs zero tensor
+// heap allocations — every buffer is a pool hit.
 TEST(MemPlaneSteadyStateTest, GcnTrainStepAllocatesNothingAfterWarmup) {
   const Graph g = SmallGraph(55);
   Rng split_rng(3);
   DataSplit split = RandomSplit(g, 0.5, 0.2, &split_rng);
 
-  ScopedMemPlane plane(/*pooling=*/true, /*fusion=*/true);
   ScopedArena arena;
-
-  ModelConfig cfg = ZooConfig(ModelFamily::kGcn);
-  cfg.in_dim = g.feature_dim();
-  std::unique_ptr<GnnModel> model = BuildModel(cfg);
-  Rng init_rng(cfg.seed ^ 0x9e3779b9ULL);
-  Linear head(model->params(), cfg.hidden_dim, g.num_classes(),
-              /*bias=*/true, &init_rng);
-  Adam optimizer(model->params()->params(), AdamConfig{});
-  Rng dropout_rng(17);
-  Var features = MakeConstant(g.features());
-
-  auto step = [&] {
-    model->params()->ZeroGrad();
-    GnnContext ctx;
-    ctx.graph = &g;
-    ctx.training = true;
-    ctx.rng = &dropout_rng;
-    Var logits = head.Apply(model->LayerOutputs(ctx, features).back());
-    Var loss = MaskedCrossEntropy(logits, g.labels(), split.train);
-    Backward(loss);
-    optimizer.Step();
-  };
-
-  for (int i = 0; i < 3; ++i) step();  // warm the pool + Adam state
+  TrainSteps steps(ModelFamily::kGcn, g, split);
+  for (int i = 0; i < 3; ++i) steps.Step();  // warm the pool + Adam state
   const int64_t allocs_before = AllocTracker::AllocationCount();
   const MatrixPoolStats pool_before = MatrixPool::Global().Stats();
-  for (int i = 0; i < 2; ++i) step();
+  for (int i = 0; i < 2; ++i) steps.Step();
   EXPECT_EQ(AllocTracker::AllocationCount(), allocs_before)
       << "steady-state train step hit the heap";
   const MatrixPoolStats pool_after = MatrixPool::Global().Stats();

@@ -2,10 +2,11 @@
 // zoo: each candidate is materialized with its classifier head, published
 // into one versioned registry, reloaded through ModelRegistry::Refresh, and
 // served through the InferenceEngine's frozen cached path. Served
-// probabilities must match the training-path eval forward within 1e-10
-// (in practice they are bitwise identical; the tolerance only guards
-// against future accumulation-order changes in the head).
+// probabilities must be bitwise identical to the training-path eval
+// forward: this is the proof, for every zoo family, that the frozen
+// forward's in-place fused elementwise ops equal the out-of-place tape.
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <vector>
@@ -76,15 +77,21 @@ TEST(ServeRoundTripTest, EveryZooArchitectureSurvivesSaveLoadServe) {
     Matrix training = InferenceEngine::TrainingPathProbs(*loaded, graph);
     auto served_all = engine.PredictAll(*loaded);
     ASSERT_TRUE(served_all.ok()) << served_all.status().ToString();
-    EXPECT_TRUE(AllClose(served_all.value(), training, 1e-10));
+    const Matrix& all = served_all.value();
+    ASSERT_EQ(all.rows(), training.rows());
+    ASSERT_EQ(all.cols(), training.cols());
+    EXPECT_EQ(std::memcmp(all.data(), training.data(),
+                          sizeof(double) * training.size()),
+              0);
 
     auto served_batch = engine.PredictNodes(*loaded, query_nodes);
     ASSERT_TRUE(served_batch.ok());
+    const size_t row_bytes = sizeof(double) * graph.num_classes();
     for (size_t q = 0; q < query_nodes.size(); ++q) {
-      for (int c = 0; c < graph.num_classes(); ++c) {
-        EXPECT_NEAR(served_batch.value()(static_cast<int>(q), c),
-                    training(query_nodes[q], c), 1e-10);
-      }
+      EXPECT_EQ(std::memcmp(served_batch.value().Row(static_cast<int>(q)),
+                            training.Row(query_nodes[q]), row_bytes),
+                0)
+          << "query " << q;
     }
   }
   // One propagation product per version was cached.
