@@ -44,34 +44,23 @@
 #include "obs/trace.h"
 #include "util/thread_pool.h"
 
-namespace {
-
-const char* FlagValue(int argc, char** argv, const char* name,
-                      const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
-
-bool HasFlag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
-
-}  // namespace
+#include "flags.h"
 
 int main(int argc, char** argv) {
+  const ahg::examples::Flags flags(
+      argc, argv,
+      {{"--data", "DIR"}, {"--algo", "adaptive|gradient"}, {"--pool", "N"},
+       {"--k", "K"}, {"--seed", "S"}, {"--out", "FILE"}, {"--nas", nullptr},
+       {"--threads", "T"}, {"--reorder", "none|rcm|shuffle"},
+       {"--trace-out", "FILE"}, {"--metrics-out", "FILE"}});
   using namespace ahg;
-  const std::string trace_out = FlagValue(argc, argv, "--trace-out", "");
-  const std::string metrics_out = FlagValue(argc, argv, "--metrics-out", "");
+  const std::string trace_out = flags.Value("--trace-out", "");
+  const std::string metrics_out = flags.Value("--metrics-out", "");
   if (!trace_out.empty()) obs::TraceRecorder::Instance().Enable();
-  const int threads = std::atoi(FlagValue(argc, argv, "--threads", "0"));
+  const int threads = std::atoi(flags.Value("--threads", "0"));
   if (threads > 0) SetNumThreads(threads);
   std::printf("kernel threads: %d\n", GetNumThreads());
-  std::string data_dir = FlagValue(argc, argv, "--data", "");
+  std::string data_dir = flags.Value("--data", "");
   if (data_dir.empty()) {
     // Demo mode: publish a synthetic dataset first.
     data_dir = "/tmp/autograph_cli_demo";
@@ -102,13 +91,13 @@ int main(int argc, char** argv) {
               ds.graph.num_classes(), ds.time_budget_seconds);
 
   AutoHEnsConfig config;
-  config.pool_size = std::atoi(FlagValue(argc, argv, "--pool", "3"));
-  config.k = std::atoi(FlagValue(argc, argv, "--k", "3"));
-  config.algo = std::strcmp(FlagValue(argc, argv, "--algo", "adaptive"),
+  config.pool_size = std::atoi(flags.Value("--pool", "3"));
+  config.k = std::atoi(flags.Value("--k", "3"));
+  config.algo = std::strcmp(flags.Value("--algo", "adaptive"),
                             "gradient") == 0
                     ? SearchAlgo::kGradient
                     : SearchAlgo::kAdaptive;
-  config.seed = std::strtoull(FlagValue(argc, argv, "--seed", "42"), nullptr,
+  config.seed = std::strtoull(flags.Value("--seed", "42"), nullptr,
                               10);
   config.proxy.dataset_ratio = 0.3;
   config.proxy.bagging = 2;
@@ -127,7 +116,7 @@ int main(int argc, char** argv) {
   // Optional locality pass. The split above and the prediction ids below
   // stay external; translation happens exactly once at each boundary.
   StatusOr<ReorderStrategy> strategy_or =
-      ParseReorderStrategy(FlagValue(argc, argv, "--reorder", "none"));
+      ParseReorderStrategy(flags.Value("--reorder", "none"));
   if (!strategy_or.ok()) {
     std::fprintf(stderr, "%s\n", strategy_or.status().ToString().c_str());
     return 1;
@@ -150,7 +139,7 @@ int main(int argc, char** argv) {
   }
 
   std::vector<CandidateSpec> candidates = CompactCandidatePool();
-  if (HasFlag(argc, argv, "--nas")) {
+  if (flags.Has("--nas")) {
     NasSearchConfig nas;
     nas.num_samples = 8;
     nas.top_to_keep = 2;
@@ -182,7 +171,7 @@ int main(int argc, char** argv) {
               result.bagging_rounds_run);
 
   const std::string out_path =
-      FlagValue(argc, argv, "--out", (data_dir + "/predictions.tsv").c_str());
+      flags.Value("--out", (data_dir + "/predictions.tsv").c_str());
   std::ofstream out(out_path);
   if (!out.is_open()) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());

@@ -15,7 +15,6 @@
 //                   [--registry-root DIR] [--metrics-out FILE]
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -35,15 +34,9 @@
 #include "util/rng.h"
 #include "util/string_util.h"
 
-namespace {
+#include "flags.h"
 
-const char* FlagValue(int argc, char** argv, const char* name,
-                      const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
+namespace {
 
 struct Tenant {
   std::string name;
@@ -80,16 +73,19 @@ ahg::Status PublishVersion(const std::string& dir, const ahg::Graph& graph,
 }
 
 int Main(int argc, char** argv) {
-  const int shards = std::atoi(FlagValue(argc, argv, "--shards", "3"));
-  const int queries = std::atoi(FlagValue(argc, argv, "--queries", "3000"));
+  const ahg::examples::Flags flags(
+      argc, argv,
+      {{"--shards", "N"}, {"--queries", "Q"}, {"--seed", "S"},
+       {"--registry-root", "DIR"}, {"--metrics-out", "FILE"}});
+  const int shards = std::atoi(flags.Value("--shards", "3"));
+  const int queries = std::atoi(flags.Value("--queries", "3000"));
   const uint64_t seed = static_cast<uint64_t>(
-      std::atoll(FlagValue(argc, argv, "--seed", "17")));
+      std::atoll(flags.Value("--seed", "17")));
   const char* tmp = std::getenv("TMPDIR");
-  const std::string root = FlagValue(
-      argc, argv, "--registry-root",
+  const std::string root = flags.Value("--registry-root",
       (std::string(tmp ? tmp : "/tmp") + "/autohens_fabric").c_str());
   const std::string metrics_out =
-      FlagValue(argc, argv, "--metrics-out", "");
+      flags.Value("--metrics-out", "");
 
   // Mixed tenant sizes: the weights below also drive the traffic mix.
   std::vector<Tenant> tenants;

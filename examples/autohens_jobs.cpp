@@ -44,22 +44,9 @@
 #include "serve/model_registry.h"
 #include "util/thread_pool.h"
 
+#include "flags.h"
+
 namespace {
-
-const char* FlagValue(int argc, char** argv, const char* name,
-                      const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
-
-bool HasFlag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
 
 // The demo dataset is a pure function of these constants: every process
 // (demo, CI submit, CI run, CI resume) sees the identical graph and split.
@@ -122,19 +109,19 @@ ahg::jobs::JobAlgo ParseAlgo(const char* name) {
 }
 
 // --submit: persist the spec and exit (the CI driver runs it separately).
-int SubmitMain(int argc, char** argv) {
-  const std::string job_id = FlagValue(argc, argv, "--submit", "");
-  const std::string store_dir = FlagValue(argc, argv, "--store", "");
+int SubmitMain(const ahg::examples::Flags& flags) {
+  const std::string job_id = flags.Value("--submit", "");
+  const std::string store_dir = flags.Value("--store", "");
   if (job_id.empty() || store_dir.empty()) {
     std::fprintf(stderr, "--submit ID and --store DIR are required\n");
     return 2;
   }
   ahg::jobs::JobStore store(store_dir);
   const ahg::jobs::SearchJobSpec spec =
-      MakeSpec(job_id, ParseAlgo(FlagValue(argc, argv, "--algo", "gradient")),
-               std::atoi(FlagValue(argc, argv, "--publish", "0")),
+      MakeSpec(job_id, ParseAlgo(flags.Value("--algo", "gradient")),
+               std::atoi(flags.Value("--publish", "0")),
                static_cast<uint64_t>(
-                   std::atoll(FlagValue(argc, argv, "--seed", "77"))));
+                   std::atoll(flags.Value("--seed", "77"))));
   ahg::Status s = store.CreateJob(spec);
   if (!s.ok()) {
     std::fprintf(stderr, "submit failed: %s\n", s.ToString().c_str());
@@ -147,9 +134,9 @@ int SubmitMain(int argc, char** argv) {
 
 // --run: recover + run (or resume) one attempt, optionally dying by SIGKILL
 // after the N-th checkpoint write.
-int RunMain(int argc, char** argv) {
-  const std::string job_id = FlagValue(argc, argv, "--run", "");
-  const std::string store_dir = FlagValue(argc, argv, "--store", "");
+int RunMain(const ahg::examples::Flags& flags) {
+  const std::string job_id = flags.Value("--run", "");
+  const std::string store_dir = flags.Value("--store", "");
   if (job_id.empty() || store_dir.empty()) {
     std::fprintf(stderr, "--run ID and --store DIR are required\n");
     return 2;
@@ -171,7 +158,7 @@ int RunMain(int argc, char** argv) {
   env.graph = &graph;
   env.split = &split;
   env.kill_after_checkpoints =
-      std::atoi(FlagValue(argc, argv, "--kill-after", "0"));
+      std::atoi(flags.Value("--kill-after", "0"));
   ahg::jobs::SearchJob job(&store, job_id);
   auto out = job.Run(env);
   if (!out.ok()) {
@@ -186,13 +173,13 @@ int RunMain(int argc, char** argv) {
   return out.value().status == ahg::jobs::JobStatus::kPublished ? 0 : 3;
 }
 
-int DemoMain(int argc, char** argv) {
-  const int queries = std::atoi(FlagValue(argc, argv, "--queries", "2000"));
+int DemoMain(const ahg::examples::Flags& flags) {
+  const int queries = std::atoi(flags.Value("--queries", "2000"));
   const uint64_t seed = static_cast<uint64_t>(
-      std::atoll(FlagValue(argc, argv, "--seed", "17")));
+      std::atoll(flags.Value("--seed", "17")));
   const char* tmp = std::getenv("TMPDIR");
   const std::string root =
-      FlagValue(argc, argv, "--root",
+      flags.Value("--root",
                 (std::string(tmp ? tmp : "/tmp") + "/autohens_jobs").c_str());
   ::mkdir(root.c_str(), 0755);  // JobStore/registry create only their leaf
   const std::string store_dir = root + "/store";
@@ -339,7 +326,12 @@ int DemoMain(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (HasFlag(argc, argv, "--submit")) return SubmitMain(argc, argv);
-  if (HasFlag(argc, argv, "--run")) return RunMain(argc, argv);
-  return DemoMain(argc, argv);
+  const ahg::examples::Flags flags(
+      argc, argv,
+      {{"--queries", "Q"}, {"--seed", "S"}, {"--root", "DIR"},
+       {"--submit", "ID"}, {"--store", "DIR"}, {"--algo", "A"},
+       {"--publish", "V"}, {"--run", "ID"}, {"--kill-after", "N"}});
+  if (flags.Has("--submit")) return SubmitMain(flags);
+  if (flags.Has("--run")) return RunMain(flags);
+  return DemoMain(flags);
 }

@@ -45,15 +45,9 @@
 #include "serve/model_registry.h"
 #include "util/rng.h"
 
-namespace {
+#include "flags.h"
 
-const char* FlagValue(int argc, char** argv, const char* name,
-                      const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
+namespace {
 
 ahg::Status PublishVersion(const std::string& dir, const ahg::Graph& graph,
                            int version, uint64_t seed) {
@@ -98,14 +92,18 @@ int VerifyReplay(ahg::fabric::ServingFabric* fabric, const ahg::Matrix& ref1,
 }
 
 int Main(int argc, char** argv) {
-  const int shards = std::atoi(FlagValue(argc, argv, "--shards", "4"));
-  const int nodes = std::atoi(FlagValue(argc, argv, "--nodes", "3000"));
-  const int queries = std::atoi(FlagValue(argc, argv, "--queries", "2000"));
+  const ahg::examples::Flags flags(
+      argc, argv,
+      {{"--shards", "N"}, {"--nodes", "V"}, {"--queries", "Q"},
+       {"--seed", "S"}, {"--reorder", "none|rcm|shuffle"},
+       {"--registry-root", "DIR"}});
+  const int shards = std::atoi(flags.Value("--shards", "4"));
+  const int nodes = std::atoi(flags.Value("--nodes", "3000"));
+  const int queries = std::atoi(flags.Value("--queries", "2000"));
   const uint64_t seed = static_cast<uint64_t>(
-      std::atoll(FlagValue(argc, argv, "--seed", "17")));
+      std::atoll(flags.Value("--seed", "17")));
   const char* tmp = std::getenv("TMPDIR");
-  const std::string root = FlagValue(
-      argc, argv, "--registry-root",
+  const std::string root = flags.Value("--registry-root",
       (std::string(tmp ? tmp : "/tmp") + "/autohens_partition").c_str());
 
   ahg::SyntheticConfig cfg;
@@ -117,7 +115,7 @@ int Main(int argc, char** argv) {
   ahg::Graph graph = ahg::GenerateSbmGraph(cfg);
 
   ahg::StatusOr<ahg::ReorderStrategy> strategy_or =
-      ahg::ParseReorderStrategy(FlagValue(argc, argv, "--reorder", "none"));
+      ahg::ParseReorderStrategy(flags.Value("--reorder", "none"));
   if (!strategy_or.ok()) {
     std::fprintf(stderr, "%s\n", strategy_or.status().ToString().c_str());
     return 1;

@@ -29,7 +29,6 @@
 // --report-interval-s R prints a one-line metrics summary every R seconds
 // while the trace replays (0 disables; default 1).
 #include <cstdio>
-#include <cstring>
 #include <future>
 #include <memory>
 #include <string>
@@ -54,22 +53,9 @@
 #include "util/rng.h"
 #include "util/stopwatch.h"
 
+#include "flags.h"
+
 namespace {
-
-const char* FlagValue(int argc, char** argv, const char* name,
-                      const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
-
-bool HasFlag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
 
 // Trains a GCN + classifier head for a few epochs and returns the weight
 // snapshot in ServableModel layout (zoo weights, head W, head b).
@@ -103,31 +89,39 @@ std::vector<ahg::Matrix> TrainGeneration(const ahg::Graph& graph,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const ahg::examples::Flags flags(
+      argc, argv,
+      {{"--registry", "DIR"}, {"--nodes", "N"}, {"--queries", "Q"},
+       {"--batch", "B"}, {"--serve-threads", "T"}, {"--deadline-ms", "D"},
+       {"--queue-limit", "L"}, {"--max-queue-delay-ms", "M"}, {"--seed", "S"},
+       {"--reorder", "none|rcm|shuffle"}, {"--assert-no-violations", nullptr},
+       {"--trace-out", "FILE"}, {"--metrics-out", "FILE"},
+       {"--report-interval-s", "R"}});
   using namespace ahg;
   using namespace ahg::serve;
 
   const std::string registry_dir =
-      FlagValue(argc, argv, "--registry", "/tmp/autohens_serve_registry");
-  const int num_nodes = std::atoi(FlagValue(argc, argv, "--nodes", "4000"));
+      flags.Value("--registry", "/tmp/autohens_serve_registry");
+  const int num_nodes = std::atoi(flags.Value("--nodes", "4000"));
   const int num_queries =
-      std::atoi(FlagValue(argc, argv, "--queries", "2000"));
-  const int batch = std::atoi(FlagValue(argc, argv, "--batch", "32"));
+      std::atoi(flags.Value("--queries", "2000"));
+  const int batch = std::atoi(flags.Value("--batch", "32"));
   const int serve_threads =
-      std::atoi(FlagValue(argc, argv, "--serve-threads", "2"));
+      std::atoi(flags.Value("--serve-threads", "2"));
   const double deadline_ms =
-      std::atof(FlagValue(argc, argv, "--deadline-ms", "30000"));
+      std::atof(flags.Value("--deadline-ms", "30000"));
   const int queue_limit =
-      std::atoi(FlagValue(argc, argv, "--queue-limit", "100000"));
+      std::atoi(flags.Value("--queue-limit", "100000"));
   const uint64_t seed =
-      static_cast<uint64_t>(std::atoll(FlagValue(argc, argv, "--seed", "17")));
+      static_cast<uint64_t>(std::atoll(flags.Value("--seed", "17")));
   const bool assert_no_violations =
-      HasFlag(argc, argv, "--assert-no-violations");
+      flags.Has("--assert-no-violations");
   const double max_queue_delay_ms =
-      std::atof(FlagValue(argc, argv, "--max-queue-delay-ms", "10"));
-  const std::string trace_out = FlagValue(argc, argv, "--trace-out", "");
-  const std::string metrics_out = FlagValue(argc, argv, "--metrics-out", "");
+      std::atof(flags.Value("--max-queue-delay-ms", "10"));
+  const std::string trace_out = flags.Value("--trace-out", "");
+  const std::string metrics_out = flags.Value("--metrics-out", "");
   const double report_interval_s =
-      std::atof(FlagValue(argc, argv, "--report-interval-s", "1"));
+      std::atof(flags.Value("--report-interval-s", "1"));
   if (!trace_out.empty()) obs::TraceRecorder::Instance().Enable();
 
   // The serving graph (stands in for the production graph snapshot).
@@ -147,7 +141,7 @@ int main(int argc, char** argv) {
   // replay) runs on the reordered graph; query ids remain external and the
   // engine translates them at its boundary.
   StatusOr<ReorderStrategy> strategy_or =
-      ParseReorderStrategy(FlagValue(argc, argv, "--reorder", "none"));
+      ParseReorderStrategy(flags.Value("--reorder", "none"));
   if (!strategy_or.ok()) {
     std::fprintf(stderr, "%s\n", strategy_or.status().ToString().c_str());
     return 1;

@@ -44,22 +44,9 @@
 #include "util/rng.h"
 #include "util/stopwatch.h"
 
+#include "flags.h"
+
 namespace {
-
-const char* FlagValue(int argc, char** argv, const char* name,
-                      const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
-
-bool HasFlag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
 
 // A random valid mutation against the server's current snapshot.
 // Unweighted (weight 1.0) so degree arithmetic stays integral and the
@@ -115,6 +102,11 @@ bool BitwiseEqual(const ahg::Matrix& a, const ahg::Matrix& b) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const ahg::examples::Flags flags(
+      argc, argv,
+      {{"--nodes", "N"}, {"--mutations", "M"}, {"--batch", "B"},
+       {"--seed", "S"}, {"--reorder", "none|rcm|shuffle"},
+       {"--assert-match", nullptr}, {"--metrics-out", "FILE"}});
   using namespace ahg;
   using namespace ahg::dyn;
 
@@ -123,14 +115,14 @@ int main(int argc, char** argv) {
   // propagator expands that seed one hop per layer, so ~10 scattered
   // mutations reach a few thousand of 12000 rows — under the 50 %
   // full-refresh fallback threshold.
-  const int num_nodes = std::atoi(FlagValue(argc, argv, "--nodes", "12000"));
+  const int num_nodes = std::atoi(flags.Value("--nodes", "12000"));
   const int num_mutations =
-      std::atoi(FlagValue(argc, argv, "--mutations", "1000"));
-  const int batch = std::atoi(FlagValue(argc, argv, "--batch", "10"));
+      std::atoi(flags.Value("--mutations", "1000"));
+  const int batch = std::atoi(flags.Value("--batch", "10"));
   const uint64_t seed =
-      static_cast<uint64_t>(std::atoll(FlagValue(argc, argv, "--seed", "29")));
-  const bool assert_match = HasFlag(argc, argv, "--assert-match");
-  const std::string metrics_out = FlagValue(argc, argv, "--metrics-out", "");
+      static_cast<uint64_t>(std::atoll(flags.Value("--seed", "29")));
+  const bool assert_match = flags.Has("--assert-match");
+  const std::string metrics_out = flags.Value("--metrics-out", "");
 
   SyntheticConfig cfg;
   cfg.name = "streaming";
@@ -144,7 +136,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(graph.num_edges()));
 
   StatusOr<ReorderStrategy> strategy_or =
-      ParseReorderStrategy(FlagValue(argc, argv, "--reorder", "none"));
+      ParseReorderStrategy(flags.Value("--reorder", "none"));
   if (!strategy_or.ok()) {
     std::fprintf(stderr, "%s\n", strategy_or.status().ToString().c_str());
     return 1;

@@ -18,8 +18,7 @@ Var Spmm(const SparseMatrix& a, const Var& x) {
   if (x->requires_grad) a.TransposedCached();
   return MakeOpNode(std::move(out), {x}, [a_ptr, x](const Node& n) {
     if (!x->requires_grad) return;
-    x->EnsureGrad();
-    x->grad.AddInPlace(a_ptr->SpmmTransposed(n.grad));
+    x->AccumulateGrad(a_ptr->SpmmTransposed(n.grad));
   });
 }
 

@@ -9,16 +9,31 @@
 namespace ahg {
 namespace {
 
-void AccumulateInto(const Var& target, const Matrix& delta) {
+// target->grad += delta. A temporary delta (a backward GEMM's result) is
+// forwarded, so a first contribution takes over its buffer.
+template <typename M>
+void AccumulateInto(const Var& target, M&& delta) {
   if (!target->requires_grad) return;
-  target->EnsureGrad();
-  target->grad.AddInPlace(delta);
+  target->AccumulateGrad(std::forward<M>(delta));
 }
 
 void AccumulateScaled(const Var& target, double alpha, const Matrix& delta) {
   if (!target->requires_grad) return;
-  target->EnsureGrad();
-  target->grad.AxpyInPlace(alpha, delta);
+  target->AccumulateGradScaled(alpha, delta);
+}
+
+// target->grad[i] += term(i) over every entry; a first contribution writes
+// 0.0 + term(i) into an unzeroed buffer instead (see autodiff/variable.h).
+template <typename TermFn>
+void AccumulateTerms(Node* target, TermFn term) {
+  if (target->HasGrad()) {
+    double* g = target->grad.data();
+    for (int64_t i = 0; i < target->grad.size(); ++i) g[i] += term(i);
+    return;
+  }
+  target->grad = Matrix::Uninitialized(target->rows(), target->cols());
+  double* g = target->grad.data();
+  for (int64_t i = 0; i < target->grad.size(); ++i) g[i] = 0.0 + term(i);
 }
 
 }  // namespace
@@ -56,8 +71,10 @@ Var ScalarMul(const Var& a, double alpha) {
 
 Var AddN(const std::vector<Var>& terms) {
   AHG_CHECK(!terms.empty());
-  Matrix out = terms[0]->value;
-  for (size_t i = 1; i < terms.size(); ++i) out.AddInPlace(terms[i]->value);
+  Matrix out = terms.size() == 1
+                   ? terms[0]->value
+                   : ahg::Add(terms[0]->value, terms[1]->value);
+  for (size_t i = 2; i < terms.size(); ++i) out.AddInPlace(terms[i]->value);
   return MakeOpNode(std::move(out), terms, [terms](const Node& n) {
     for (const auto& t : terms) AccumulateInto(t, n.grad);
   });
@@ -79,11 +96,12 @@ Var MatMul(const Var& a, const Var& b) {
 Var AddRowVector(const Var& m, const Var& bias) {
   AHG_CHECK_EQ(bias->rows(), 1);
   AHG_CHECK_EQ(bias->cols(), m->cols());
-  Matrix out = m->value;
+  Matrix out = Matrix::Uninitialized(m->rows(), m->cols());
+  const double* b = bias->value.Row(0);
   for (int r = 0; r < out.rows(); ++r) {
+    const double* src = m->value.Row(r);
     double* row = out.Row(r);
-    const double* b = bias->value.Row(0);
-    for (int c = 0; c < out.cols(); ++c) row[c] += b[c];
+    for (int c = 0; c < out.cols(); ++c) row[c] = src[c] + b[c];
   }
   return MakeOpNode(std::move(out), {m, bias}, [m, bias](const Node& n) {
     AccumulateInto(m, n.grad);
@@ -119,14 +137,14 @@ Var LinearRelu(const Var& x, const Var& w, const Var& b) {
   return MakeOpNode(
       std::move(out), std::move(parents), [x, w, b](const Node& n) {
         // gp reproduces the pre-activation node's grad from the unfused
-        // chain: zero-initialized, then += g * 1[out > 0] — the same
-        // products (including g * 0.0 sign behavior) and the same
-        // accumulate-into-zero the Relu backward performs. out > 0 iff the
-        // pre-activation was > 0, so masking from n.value is exact.
-        Matrix gp(n.grad.rows(), n.grad.cols());
+        // chain: the Relu backward's first write, 0.0 + g * 1[out > 0] —
+        // the same products (including g * 0.0 sign behavior) and the same
+        // accumulate-into-zero. out > 0 iff the pre-activation was > 0, so
+        // masking from n.value is exact.
+        Matrix gp = Matrix::Uninitialized(n.grad.rows(), n.grad.cols());
         for (int64_t i = 0; i < gp.size(); ++i) {
-          gp.data()[i] +=
-              n.grad.data()[i] * (n.value.data()[i] > 0.0 ? 1.0 : 0.0);
+          gp.data()[i] =
+              0.0 + n.grad.data()[i] * (n.value.data()[i] > 0.0 ? 1.0 : 0.0);
         }
         // Parent order matches the unfused reverse-topo sweep: bias (from
         // the AddRowVector node), then x, then w (from the MatMul node).
@@ -163,28 +181,19 @@ Var UnaryElementwise(const Var& a, FwdFn fwd, BwdFn deriv) {
       }
       return MakeOpNode(std::move(out), {}, nullptr);
     }
-    Matrix out(a->rows(), a->cols());
-    for (int64_t i = 0; i < out.size(); ++i) {
-      out.data()[i] = fwd(a->value.data()[i]);
-    }
-    return MakeOpNode(std::move(out), {}, nullptr);
   }
-  Matrix out(a->rows(), a->cols());
+  Matrix out = Matrix::Uninitialized(a->rows(), a->cols());
   for (int64_t i = 0; i < out.size(); ++i) {
     out.data()[i] = fwd(a->value.data()[i]);
   }
-  // Capture the output value for derivative forms expressed via f(x).
-  Matrix out_copy = out;
-  return MakeOpNode(
-      std::move(out), {a},
-      [a, deriv, out_copy = std::move(out_copy)](const Node& n) {
-        if (!a->requires_grad) return;
-        a->EnsureGrad();
-        for (int64_t i = 0; i < n.grad.size(); ++i) {
-          a->grad.data()[i] += n.grad.data()[i] *
-                               deriv(a->value.data()[i], out_copy.data()[i]);
-        }
-      });
+  // Derivative forms expressed via f(x) read the node's own value: a tape
+  // node's value is never modified after the op returns.
+  return MakeOpNode(std::move(out), {a}, [a, deriv](const Node& n) {
+    if (!a->requires_grad) return;
+    AccumulateTerms(a.get(), [&](int64_t i) {
+      return n.grad.data()[i] * deriv(a->value.data()[i], n.value.data()[i]);
+    });
+  });
 }
 
 }  // namespace
@@ -222,24 +231,22 @@ Var Sigmoid(const Var& a) {
 }
 
 Var RowSoftmaxOp(const Var& a) {
-  Matrix out = RowSoftmax(a->value);
-  Matrix out_copy = out;
-  return MakeOpNode(
-      std::move(out), {a}, [a, s = std::move(out_copy)](const Node& n) {
-        if (!a->requires_grad) return;
-        a->EnsureGrad();
-        // dx_j = s_j * (g_j - sum_k g_k s_k) per row.
-        for (int r = 0; r < n.grad.rows(); ++r) {
-          const double* g = n.grad.Row(r);
-          const double* srow = s.Row(r);
-          double dot = 0.0;
-          for (int c = 0; c < n.grad.cols(); ++c) dot += g[c] * srow[c];
-          double* ag = a->grad.Row(r);
-          for (int c = 0; c < n.grad.cols(); ++c) {
-            ag[c] += srow[c] * (g[c] - dot);
-          }
-        }
-      });
+  return MakeOpNode(RowSoftmax(a->value), {a}, [a](const Node& n) {
+    if (!a->requires_grad) return;
+    a->EnsureGrad();
+    // dx_j = s_j * (g_j - sum_k g_k s_k) per row, s being this node's value
+    // (never modified once the op returns).
+    for (int r = 0; r < n.grad.rows(); ++r) {
+      const double* g = n.grad.Row(r);
+      const double* srow = n.value.Row(r);
+      double dot = 0.0;
+      for (int c = 0; c < n.grad.cols(); ++c) dot += g[c] * srow[c];
+      double* ag = a->grad.Row(r);
+      for (int c = 0; c < n.grad.cols(); ++c) {
+        ag[c] += srow[c] * (g[c] - dot);
+      }
+    }
+  });
 }
 
 Var RowLogSoftmaxOp(const Var& a) {
@@ -264,20 +271,23 @@ Var Dropout(const Var& a, double p, bool training, Rng* rng) {
   if (!training || p <= 0.0) return a;
   AHG_CHECK_LT(p, 1.0);
   const double keep_scale = 1.0 / (1.0 - p);
-  Matrix mask(a->rows(), a->cols());
-  Matrix out(a->rows(), a->cols());
+  Matrix out = Matrix::Uninitialized(a->rows(), a->cols());
+  // The mask is kept only for a backward that will read it: dropout on
+  // constant features (every model's first layer) keeps none. The RNG
+  // draws are the same either way.
+  const bool keep_mask = a->requires_grad && !InInferenceMode();
+  Matrix mask;
+  if (keep_mask) mask = Matrix::Uninitialized(a->rows(), a->cols());
   for (int64_t i = 0; i < out.size(); ++i) {
     const double m = rng->Bernoulli(p) ? 0.0 : keep_scale;
-    mask.data()[i] = m;
+    if (keep_mask) mask.data()[i] = m;
     out.data()[i] = a->value.data()[i] * m;
   }
   return MakeOpNode(std::move(out), {a},
                     [a, mask = std::move(mask)](const Node& n) {
-                      if (!a->requires_grad) return;
-                      a->EnsureGrad();
-                      for (int64_t i = 0; i < n.grad.size(); ++i) {
-                        a->grad.data()[i] += n.grad.data()[i] * mask.data()[i];
-                      }
+                      AccumulateTerms(a.get(), [&](int64_t i) {
+                        return n.grad.data()[i] * mask.data()[i];
+                      });
                     });
 }
 
@@ -289,7 +299,7 @@ Var ConcatCols(const std::vector<Var>& parts) {
     AHG_CHECK_EQ(p->rows(), rows);
     total_cols += p->cols();
   }
-  Matrix out(rows, total_cols);
+  Matrix out = Matrix::Uninitialized(rows, total_cols);
   // Row-major fill: each output row is written front to back, one memcpy
   // per (non-empty) part, so the destination streams through once.
   for (int r = 0; r < rows; ++r) {
@@ -305,11 +315,17 @@ Var ConcatCols(const std::vector<Var>& parts) {
     int off = 0;
     for (const auto& p : parts) {
       if (p->requires_grad) {
-        p->EnsureGrad();
+        // First contribution: 0.0 + g into an unzeroed buffer.
+        const bool first = !p->HasGrad();
+        if (first) p->grad = Matrix::Uninitialized(p->rows(), p->cols());
         for (int r = 0; r < n.grad.rows(); ++r) {
           const double* g = n.grad.Row(r) + off;
           double* pg = p->grad.Row(r);
-          for (int c = 0; c < p->cols(); ++c) pg[c] += g[c];
+          if (first) {
+            for (int c = 0; c < p->cols(); ++c) pg[c] = 0.0 + g[c];
+          } else {
+            for (int c = 0; c < p->cols(); ++c) pg[c] += g[c];
+          }
         }
       }
       off += p->cols();
@@ -318,7 +334,8 @@ Var ConcatCols(const std::vector<Var>& parts) {
 }
 
 Var GatherRows(const Var& a, const std::vector<int>& indices) {
-  Matrix out(static_cast<int>(indices.size()), a->cols());
+  Matrix out =
+      Matrix::Uninitialized(static_cast<int>(indices.size()), a->cols());
   for (size_t i = 0; i < indices.size(); ++i) {
     AHG_CHECK(indices[i] >= 0 && indices[i] < a->rows());
     const double* src = a->value.Row(indices[i]);
@@ -398,7 +415,7 @@ Var SoftmaxWeightedSum(const std::vector<Var>& terms, const Var& alpha_raw) {
 
 Var CWiseMax(const Var& a, const Var& b) {
   AHG_CHECK(a->rows() == b->rows() && a->cols() == b->cols());
-  Matrix out(a->rows(), a->cols());
+  Matrix out = Matrix::Uninitialized(a->rows(), a->cols());
   // take_a[i] records the winner for gradient routing.
   std::vector<bool> take_a(static_cast<size_t>(a->value.size()));
   for (int64_t i = 0; i < out.size(); ++i) {
@@ -425,7 +442,7 @@ Var CWiseMax(const Var& a, const Var& b) {
 Var MulColBroadcast(const Var& m, const Var& col) {
   AHG_CHECK_EQ(col->cols(), 1);
   AHG_CHECK_EQ(col->rows(), m->rows());
-  Matrix out(m->rows(), m->cols());
+  Matrix out = Matrix::Uninitialized(m->rows(), m->cols());
   for (int r = 0; r < m->rows(); ++r) {
     const double s = col->value(r, 0);
     const double* src = m->value.Row(r);

@@ -19,6 +19,42 @@ ScopedInferenceMode::~ScopedInferenceMode() { --tl_inference_depth; }
 
 bool InInferenceMode() { return tl_inference_depth > 0; }
 
+void Node::AccumulateGrad(const Matrix& delta) {
+  if (HasGrad()) {
+    grad.AddInPlace(delta);
+    return;
+  }
+  AHG_CHECK(delta.rows() == rows() && delta.cols() == cols());
+  grad = Matrix::Uninitialized(rows(), cols());
+  for (int64_t i = 0; i < grad.size(); ++i) {
+    grad.data()[i] = 0.0 + delta.data()[i];
+  }
+}
+
+void Node::AccumulateGrad(Matrix&& delta) {
+  if (HasGrad()) {
+    grad.AddInPlace(delta);
+    return;
+  }
+  AHG_CHECK(delta.rows() == rows() && delta.cols() == cols());
+  for (int64_t i = 0; i < delta.size(); ++i) {
+    delta.data()[i] = 0.0 + delta.data()[i];
+  }
+  grad = std::move(delta);
+}
+
+void Node::AccumulateGradScaled(double alpha, const Matrix& delta) {
+  if (HasGrad()) {
+    grad.AxpyInPlace(alpha, delta);
+    return;
+  }
+  AHG_CHECK(delta.rows() == rows() && delta.cols() == cols());
+  grad = Matrix::Uninitialized(rows(), cols());
+  for (int64_t i = 0; i < grad.size(); ++i) {
+    grad.data()[i] = 0.0 + alpha * delta.data()[i];
+  }
+}
+
 Var MakeParam(Matrix value) {
   auto node = std::make_shared<Node>();
   node->value = std::move(value);

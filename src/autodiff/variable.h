@@ -7,7 +7,10 @@
 //
 // Gradients accumulate (+=) so a Var consumed by several ops receives the sum
 // of its consumers' contributions, matching the chain rule for shared
-// subexpressions.
+// subexpressions. The first contribution to an unset grad is written, not
+// added: 0.0 + delta into a buffer that is never zero-filled (or into the
+// delta's own buffer when it is a temporary). That is exactly what a zeroed
+// grad plus += evaluates, -0.0 becoming +0.0 included, so no bit moves.
 #ifndef AUTOHENS_AUTODIFF_VARIABLE_H_
 #define AUTOHENS_AUTODIFF_VARIABLE_H_
 
@@ -33,12 +36,22 @@ struct Node {
   int rows() const { return value.rows(); }
   int cols() const { return value.cols(); }
 
+  // True once grad has value's shape.
+  bool HasGrad() const {
+    return grad.rows() == value.rows() && grad.cols() == value.cols();
+  }
+
   // Allocates grad as zeros if not yet present.
   void EnsureGrad() {
-    if (grad.rows() != value.rows() || grad.cols() != value.cols()) {
-      grad = Matrix(value.rows(), value.cols());
-    }
+    if (!HasGrad()) grad = Matrix(value.rows(), value.cols());
   }
+
+  // grad += delta; an unset grad becomes 0.0 + delta without a zero-fill.
+  // The rvalue form rewrites a temporary delta in place and moves it in.
+  void AccumulateGrad(const Matrix& delta);
+  void AccumulateGrad(Matrix&& delta);
+  // grad += alpha * delta; an unset grad becomes 0.0 + alpha * delta.
+  void AccumulateGradScaled(double alpha, const Matrix& delta);
 
   void ZeroGrad() {
     if (!grad.empty()) grad.SetZero();

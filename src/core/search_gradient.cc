@@ -7,6 +7,7 @@
 #include "metrics/metrics.h"
 #include "nn/optimizer.h"
 #include "obs/trace.h"
+#include "tensor/pool.h"
 #include "util/stopwatch.h"
 
 namespace ahg {
@@ -18,6 +19,12 @@ GradientSearchResult SearchGradient(const std::vector<CandidateSpec>& pool,
   AHG_CHECK(!pool.empty());
   AHG_TRACE_SPAN_ARG("search/gradient", static_cast<int64_t>(pool.size()));
   Stopwatch watch;
+  // The whole bi-level run pools its tensors, like every single-model fit
+  // (tensor/pool.h). Declared before every other local, so they all hand
+  // their buffers back before the arena trims the pool to its entry size.
+  // Checkpoint copies passed to on_checkpoint may outlive the arena; a
+  // pooled buffer that does is parked in the pool when it is freed.
+  ScopedArena arena;
   const int n = static_cast<int>(pool.size());
 
   std::vector<std::unique_ptr<GraphSelfEnsemble>> ensembles;
@@ -126,9 +133,12 @@ GradientSearchResult SearchGradient(const std::vector<CandidateSpec>& pool,
       arch_optimizer.Step();
     }
 
-    Var eval = ensemble_probs(false);
-    const double val_acc =
-        Accuracy(eval->value, graph.labels(), split.val);
+    double val_acc = 0.0;
+    {
+      ScopedInferenceMode no_tape;  // eval forward: never back-propagates
+      val_acc = Accuracy(ensemble_probs(false)->value, graph.labels(),
+                         split.val);
+    }
     if (val_acc > best_val) {
       best_val = val_acc;
       best_beta_raw = beta_raw->value;

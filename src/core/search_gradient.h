@@ -2,6 +2,9 @@
 // N x K sub-models while treating the layer vectors alpha and ensemble
 // weights beta as architecture parameters, alternating first-order updates
 // of the weights (train loss) and of the architecture (validation loss).
+// The whole run trains inside one ScopedArena (tensor/pool.h), so its steps
+// recycle tensor buffers and the pool is trimmed back when it returns; the
+// per-epoch validation forward builds no tape (ScopedInferenceMode).
 #ifndef AUTOHENS_CORE_SEARCH_GRADIENT_H_
 #define AUTOHENS_CORE_SEARCH_GRADIENT_H_
 

@@ -58,7 +58,11 @@ std::vector<Matrix> TrainMemberKeepWeights(const ModelConfig& config,
       optimizer.set_learning_rate(optimizer.learning_rate() *
                                   train_config.lr_decay);
     }
-    const Matrix probs = RowSoftmax(forward_logits(false)->value);
+    Matrix probs;
+    {
+      ScopedInferenceMode no_tape;  // eval forward: never back-propagates
+      probs = RowSoftmax(forward_logits(false)->value);
+    }
     const double val_acc =
         split.val.empty() ? 0.0
                           : Accuracy(probs, graph.labels(), split.val);

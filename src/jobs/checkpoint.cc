@@ -322,6 +322,10 @@ StatusOr<TaskJobSpec> LoadTaskSpec(const std::string& path) {
   uint64_t num_candidates = 0;
   bool ok = r.Str(&spec.job_id) && r.Str(&spec.dataset) && r.U32(&kind) &&
             r.Count(&num_candidates);
+  if (ok && !IsKnownTaskKind(kind)) {
+    return Status::InvalidArgument("unknown task kind " +
+                                   std::to_string(kind) + " in " + path);
+  }
   if (ok) {
     spec.kind = static_cast<TaskKind>(kind);
     spec.candidates.resize(num_candidates);
@@ -449,6 +453,10 @@ StatusOr<SearchJobSpec> LoadSpec(const std::string& path) {
   uint64_t num_candidates = 0;
   bool ok = r.Str(&spec.job_id) && r.Str(&spec.dataset) && r.U32(&algo) &&
             r.Count(&num_candidates);
+  if (ok && !IsKnownJobAlgo(algo)) {
+    return Status::InvalidArgument("unknown search algo " +
+                                   std::to_string(algo) + " in " + path);
+  }
   if (ok) {
     spec.algo = static_cast<JobAlgo>(algo);
     spec.candidates.resize(num_candidates);

@@ -14,6 +14,7 @@
 #ifndef AUTOHENS_JOBS_CHECKPOINT_H_
 #define AUTOHENS_JOBS_CHECKPOINT_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <utility>
@@ -31,6 +32,13 @@ namespace ahg::jobs {
 // the search stage entirely: members take cyclic depths 1..L and every
 // architecture gets uniform beta (the paper's plain hierarchical baseline).
 enum class JobAlgo { kHierarchical = 0, kAdaptive = 1, kGradient = 2 };
+
+// True when `value` is the number of a JobAlgo enumerator. LoadSpec checks
+// the stored algo word with this, so an unknown algo fails at load instead
+// of running as some other search.
+inline bool IsKnownJobAlgo(int64_t value) {
+  return value >= 0 && value <= static_cast<int64_t>(JobAlgo::kGradient);
+}
 
 const char* JobAlgoName(JobAlgo algo);
 
@@ -101,6 +109,13 @@ struct SearchJobCheckpoint {
 // --- Served-task jobs (Tables VIII/IX through the same machinery) ---
 
 enum class TaskKind { kLinkPrediction = 0, kGraphClassification = 1 };
+
+// True when `value` is the number of a TaskKind enumerator (checked by
+// LoadTaskSpec, as IsKnownJobAlgo is by LoadSpec).
+inline bool IsKnownTaskKind(int64_t value) {
+  return value >= 0 &&
+         value <= static_cast<int64_t>(TaskKind::kGraphClassification);
+}
 
 const char* TaskKindName(TaskKind kind);
 

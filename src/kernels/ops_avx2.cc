@@ -132,16 +132,21 @@ int ListNonzeroAvx2(const double* x, int n, int* idx) {
 template <int NV>
 inline void SpmmRowBlock(const double* values, const int* cols, int64_t nnz,
                          const double* x, int64_t ldx, double* yrow) {
+  // Fully unrolled so the NV accumulators stay in registers across the
+  // entry loop (a rolled loop keeps them on the stack).
   __m256d acc[NV];
+  #pragma GCC unroll 8
   for (int v = 0; v < NV; ++v) acc[v] = _mm256_setzero_pd();
   for (int64_t e = 0; e < nnz; ++e) {
     const __m256d ve = _mm256_set1_pd(values[e]);
     const double* xrow = x + static_cast<int64_t>(cols[e]) * ldx;
+    #pragma GCC unroll 8
     for (int v = 0; v < NV; ++v) {
       acc[v] = _mm256_add_pd(acc[v],
                              _mm256_mul_pd(ve, _mm256_loadu_pd(xrow + 4 * v)));
     }
   }
+  #pragma GCC unroll 8
   for (int v = 0; v < NV; ++v) _mm256_storeu_pd(yrow + 4 * v, acc[v]);
 }
 

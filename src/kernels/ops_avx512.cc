@@ -113,16 +113,21 @@ int ListNonzeroAvx512(const double* x, int n, int* idx) {
 template <int NV>
 inline void SpmmRowBlock(const double* values, const int* cols, int64_t nnz,
                          const double* x, int64_t ldx, double* yrow) {
+  // Fully unrolled so the NV accumulators stay in registers across the
+  // entry loop (a rolled loop keeps them on the stack).
   __m512d acc[NV];
+  #pragma GCC unroll 8
   for (int v = 0; v < NV; ++v) acc[v] = _mm512_setzero_pd();
   for (int64_t e = 0; e < nnz; ++e) {
     const __m512d ve = _mm512_set1_pd(values[e]);
     const double* xrow = x + static_cast<int64_t>(cols[e]) * ldx;
+    #pragma GCC unroll 8
     for (int v = 0; v < NV; ++v) {
       acc[v] = _mm512_add_pd(acc[v],
                              _mm512_mul_pd(ve, _mm512_loadu_pd(xrow + 8 * v)));
     }
   }
+  #pragma GCC unroll 8
   for (int v = 0; v < NV; ++v) _mm512_storeu_pd(yrow + 8 * v, acc[v]);
 }
 

@@ -74,16 +74,20 @@ NodeTrainResult TrainSingleNodeModel(const ModelConfig& model_config,
                                   train_config.lr_decay);
     }
 
-    // Validation (eval-mode forward, no dropout).
-    Var logits = forward_logits(false);
-    const Matrix probs = RowSoftmax(logits->value);
+    // Validation: eval-mode forward (no dropout), which never
+    // back-propagates, so it builds no tape.
+    Matrix probs;
+    {
+      ScopedInferenceMode no_tape;
+      probs = RowSoftmax(forward_logits(false)->value);
+    }
     const double val_acc =
         split.val.empty() ? -Accuracy(probs, graph.labels(), split.train)
                           : Accuracy(probs, graph.labels(), split.val);
     if (epoch == 1 || val_acc > result.val_accuracy) {
       result.val_accuracy = val_acc;
       result.best_epoch = epoch;
-      result.probs = probs;
+      result.probs = std::move(probs);
       epochs_since_best = 0;
     } else if (++epochs_since_best >= train_config.patience) {
       break;

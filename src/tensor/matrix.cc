@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -143,6 +145,22 @@ Matrix GemmRows(const Matrix& a, const Matrix& b, bool skip_zeros) {
   return c;
 }
 
+// Writes `a` with an in-place kernel applied, in one pass: each L1-sized
+// block of `a` is copied into the uninitialized result and `op(block, offset,
+// length)` runs on it while it is still in cache. The arithmetic is the
+// kernel's own, so the bits equal copying all of `a` and then modifying it.
+template <typename InPlaceOp>
+Matrix CopyAndApply(const Matrix& a, InPlaceOp op) {
+  constexpr int64_t kBlock = 512;
+  Matrix c = Matrix::Uninitialized(a.rows(), a.cols());
+  for (int64_t i = 0; i < c.size(); i += kBlock) {
+    const int64_t len = std::min(kBlock, c.size() - i);
+    std::memcpy(c.data() + i, a.data() + i, len * sizeof(double));
+    op(c.data() + i, i, len);
+  }
+  return c;
+}
+
 }  // namespace
 
 void Matrix::Allocate(int rows, int cols, bool zero) {
@@ -181,6 +199,15 @@ void Matrix::Release() {
 }
 
 Matrix::Matrix(int rows, int cols) { Allocate(rows, cols); }
+
+Matrix Matrix::Uninitialized(int rows, int cols) {
+  Matrix m;
+  m.Allocate(rows, cols, /*zero=*/false);
+#ifdef AHG_POISON_UNINITIALIZED
+  m.Fill(std::numeric_limits<double>::quiet_NaN());
+#endif
+  return m;
+}
 
 Matrix::Matrix(const Matrix& other) {
   Allocate(other.rows_, other.cols_, /*zero=*/false);
@@ -324,7 +351,11 @@ Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
     // a contiguous row of `panel` that runs through the A*B row kernel
     // (zero-skip included) against the panel's rows of b, which stay hot
     // across all m columns.
-    std::vector<double> panel(static_cast<size_t>(m) * kTransAPanelLd);
+    // Every entry the row kernel reads is packed first, so the panel needs
+    // no zero-fill.
+    const std::unique_ptr<double[]> panel =
+        std::make_unique_for_overwrite<double[]>(static_cast<size_t>(m) *
+                                                 kTransAPanelLd);
     int kidx[kTransAPanel] = {};
     for (int64_t p = begin; p < end; ++p) {
       const int c0 = static_cast<int>(p * kReduceChunk);
@@ -339,7 +370,7 @@ Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
         }
         for (int i = 0; i < m; ++i) {
           GemmRowPanel(ops, /*skip_zeros=*/true,
-                       panel.data() + static_cast<size_t>(i) * kTransAPanelLd,
+                       panel.get() + static_cast<size_t>(i) * kTransAPanelLd,
                        kc, b.Row(k0), n, n, partial[p].Row(i), kidx);
         }
       }
@@ -361,7 +392,7 @@ Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
 }
 
 Matrix Transpose(const Matrix& a) {
-  Matrix t(a.cols(), a.rows());
+  Matrix t = Matrix::Uninitialized(a.cols(), a.rows());
   for (int i = 0; i < a.rows(); ++i) {
     for (int j = 0; j < a.cols(); ++j) t(j, i) = a(i, j);
   }
@@ -369,33 +400,38 @@ Matrix Transpose(const Matrix& a) {
 }
 
 Matrix Add(const Matrix& a, const Matrix& b) {
-  Matrix c = a;
-  c.AddInPlace(b);
-  return c;
+  AHG_CHECK(a.rows() == b.rows() && a.cols() == b.cols());
+  const kernels::TierOps& ops = kernels::ActiveOps();
+  return CopyAndApply(a, [&](double* c, int64_t off, int64_t len) {
+    ops.add_inplace(c, b.data() + off, len);
+  });
 }
 
 Matrix Sub(const Matrix& a, const Matrix& b) {
-  Matrix c = a;
-  c.AxpyInPlace(-1.0, b);
-  return c;
+  AHG_CHECK(a.rows() == b.rows() && a.cols() == b.cols());
+  const kernels::TierOps& ops = kernels::ActiveOps();
+  return CopyAndApply(a, [&](double* c, int64_t off, int64_t len) {
+    ops.axpy_inplace(c, -1.0, b.data() + off, len);
+  });
 }
 
 Matrix CWiseMul(const Matrix& a, const Matrix& b) {
   AHG_CHECK(a.rows() == b.rows() && a.cols() == b.cols());
-  Matrix c(a.rows(), a.cols());
+  Matrix c = Matrix::Uninitialized(a.rows(), a.cols());
   kernels::ActiveOps().cwise_mul(a.data(), b.data(), a.size(), c.data());
   return c;
 }
 
 Matrix Scale(const Matrix& a, double alpha) {
-  Matrix c = a;
-  c.ScaleInPlace(alpha);
-  return c;
+  const kernels::TierOps& ops = kernels::ActiveOps();
+  return CopyAndApply(a, [&](double* c, int64_t, int64_t len) {
+    ops.scale_inplace(c, alpha, len);
+  });
 }
 
 Matrix RowSoftmax(const Matrix& a) {
   AHG_TRACE_SPAN_ARG("tensor/row_softmax", int64_t{a.rows()} * a.cols());
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::Uninitialized(a.rows(), a.cols());
   // Zero-column input: nothing to normalize (and row_max on an empty row
   // would read past the end of a null buffer).
   if (a.cols() == 0) return out;
@@ -422,7 +458,7 @@ Matrix RowSoftmax(const Matrix& a) {
 }
 
 Matrix RowLogSoftmax(const Matrix& a) {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::Uninitialized(a.rows(), a.cols());
   if (a.cols() == 0) return out;
   const kernels::TierOps& ops = kernels::ActiveOps();
   ParallelForChunked(a.rows(), 4 * a.cols(), [&](int64_t begin, int64_t end) {
@@ -449,7 +485,8 @@ bool AllClose(const Matrix& a, const Matrix& b, double tol) {
 }
 
 Matrix GatherRows(const Matrix& src, const std::vector<int>& rows) {
-  Matrix out(static_cast<int>(rows.size()), src.cols());
+  Matrix out =
+      Matrix::Uninitialized(static_cast<int>(rows.size()), src.cols());
   const size_t row_bytes = static_cast<size_t>(src.cols()) * sizeof(double);
   for (size_t i = 0; i < rows.size(); ++i) {
     const int r = rows[i];

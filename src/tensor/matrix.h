@@ -1,6 +1,12 @@
 // Dense row-major matrix of doubles plus the BLAS-like kernels the autodiff
 // engine is built on. All allocations are reported to AllocTracker so the
 // runtime bench can reproduce the paper's peak-memory columns.
+//
+// Write-once outputs: an op that writes every entry of its result (SpMM,
+// softmax, elementwise, transpose, gather, Add/Sub/Scale) allocates it with
+// Matrix::Uninitialized, so each training tensor is written once rather
+// than zero-filled and then overwritten. Results that accumulate (the GEMM
+// outputs and the MatMulTransA partials) stay zeroed.
 #ifndef AUTOHENS_TENSOR_MATRIX_H_
 #define AUTOHENS_TENSOR_MATRIX_H_
 
@@ -26,6 +32,12 @@ class Matrix {
   ~Matrix();
 
   static Matrix Zeros(int rows, int cols) { return Matrix(rows, cols); }
+  // rows x cols matrix whose entries are unspecified: for outputs the caller
+  // writes in full before anything reads them, so no zero-fill is paid. In
+  // sanitizer builds every entry starts as NaN, so an entry an op forgets
+  // to write breaks the bitwise (memcmp) tests instead of reading stale
+  // memory.
+  static Matrix Uninitialized(int rows, int cols);
   static Matrix Constant(int rows, int cols, double value);
   static Matrix Identity(int n);
   // Entries drawn i.i.d. N(0, stddev^2).
@@ -75,7 +87,7 @@ class Matrix {
  private:
   // Draws from the MatrixPool inside a ScopedArena on this thread (see
   // tensor/pool.h); `zero` is false only for paths that overwrite every
-  // entry immediately (copies).
+  // entry immediately (copies, Uninitialized).
   void Allocate(int rows, int cols, bool zero = true);
   void Release();
 

@@ -10,17 +10,20 @@
 // AllocTracker::AllocationCount()).
 //
 // Scope, not switches: pooling is on exactly inside a ScopedArena, and
-// every single-model training fit (tasks/train_node, the member retrain in
-// core/trained_ensemble) opens one. Nothing else pools. The gradient-search
-// supernet and the serving engines allocate from the heap: a serving cache
-// product drawn from the pool, with no arena ever trimming it, would stay
-// parked after LRU eviction for the life of the process. The fused kernels
-// (autodiff/ops.h) need no switch either; they are always on.
+// every training fit opens one: each single-model fit (tasks/train_node,
+// the member retrain in core/trained_ensemble) and the whole gradient-search
+// supernet run (core/search_gradient). Nothing else pools. The serving
+// engines allocate from the heap: a serving cache product drawn from the
+// pool, with no arena ever trimming it, would stay parked after LRU
+// eviction for the life of the process. The fused kernels (autodiff/ops.h)
+// need no switch either; they are always on.
 //
-// Determinism: a pooled buffer is zero-filled before reuse, exactly like
-// the `new double[n]()` it replaces, and no kernel changes its reduction
-// order inside an arena — results are bitwise identical inside and outside
-// one, at every thread count.
+// Determinism: a pooled buffer is zero-filled before reuse when the
+// Matrix(r, c) contract asks for zeros, exactly like the `new double[n]()`
+// it replaces; Matrix::Uninitialized outputs are written in full by their
+// op either way. No kernel changes its reduction order inside an arena —
+// results are bitwise identical inside and outside one, at every thread
+// count.
 //
 // Threading: the pooling bit is thread-local (an arena on a proxy worker
 // pools only that worker's allocations) while the pool itself is a

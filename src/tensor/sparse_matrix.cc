@@ -220,7 +220,8 @@ StatusOr<SparseMatrix> SparseMatrix::FromCooChecked(
 Matrix SparseMatrix::Spmm(const Matrix& x) const {
   AHG_CHECK_EQ(x.rows(), cols_);
   AHG_TRACE_SPAN_ARG("tensor/spmm", nnz() * x.cols());
-  Matrix y(rows_, x.cols());
+  // Every row kernel stores all of its output row, so y is write-once.
+  Matrix y = Matrix::Uninitialized(rows_, x.cols());
   // Tier table and variant resolved on the calling thread before any
   // parallel region; both schedules are exact (see SpmmNnzSplitPass).
   const kernels::TierOps& ops = kernels::ActiveOps();
@@ -238,7 +239,7 @@ Matrix SparseMatrix::SpmmRows(const std::vector<int>& rows,
   AHG_CHECK_EQ(x.rows(), cols_);
   AHG_TRACE_SPAN_ARG("tensor/spmm_rows",
                      static_cast<int64_t>(rows.size()) * x.cols());
-  Matrix y(static_cast<int>(rows.size()), x.cols());
+  Matrix y = Matrix::Uninitialized(static_cast<int>(rows.size()), x.cols());
   // Row subsets change every incremental refresh, so they never tune a key
   // of their own; reuse the full-matrix entry's column block when present
   // (the per-row kernel is the same) and fall back to the tier default.

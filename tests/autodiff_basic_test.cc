@@ -1,8 +1,13 @@
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <limits>
 
+#include "autodiff/graph_ops.h"
 #include "autodiff/ops.h"
 #include "autodiff/variable.h"
 #include "gtest/gtest.h"
+#include "tensor/sparse_matrix.h"
 #include "util/rng.h"
 
 namespace ahg {
@@ -142,6 +147,144 @@ TEST(OpsForwardTest, BceWithLogitsMatchesManual) {
 TEST(BackwardTest, RootMustBeScalar) {
   Var p = MakeParam(Matrix::FromRows({{1, 2}}));
   EXPECT_DEATH(Backward(Add(p, p)), "scalar");
+}
+
+
+// --- First-write gradients ------------------------------------------------
+//
+// A first contribution to an unset grad is written as 0.0 + delta instead
+// of zero-filling the grad and adding. Each check below compares, by
+// memcmp, against the zero-filled buffer plus AddInPlace the old path ran,
+// with -0.0 (which must come out +0.0) and NaN among the contributions.
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// Contributions with a -0.0, a +0.0, a NaN, an inf and ordinary values.
+Matrix SignedZeroNaNDelta() {
+  return Matrix::FromRows({{-0.0, kNaN, 1.5, 0.0},
+                           {-2.25, -0.0, std::numeric_limits<double>::infinity(),
+                            3.0}});
+}
+
+TEST(FirstWriteGradTest, AccumulateGradMatchesZeroFilledPlusAdd) {
+  const Matrix delta = SignedZeroNaNDelta();
+  const Matrix second = Matrix::FromRows({{-0.0, 1.0, -0.0, kNaN},
+                                          {0.5, -0.0, -1.0, -0.0}});
+  Matrix ref(2, 4);
+  ref.AddInPlace(delta);
+  ASSERT_FALSE(std::signbit(ref(0, 0)));  // -0.0 became +0.0
+
+  // Const delta: a fresh buffer.
+  Var h = ScalarMul(MakeParam(Matrix(2, 4)), 1.0);
+  ASSERT_FALSE(h->HasGrad());
+  h->AccumulateGrad(delta);
+  EXPECT_TRUE(SameBits(h->grad, ref));
+
+  // Temporary delta: rewritten in place and moved in.
+  Var t = ScalarMul(MakeParam(Matrix(2, 4)), 1.0);
+  Matrix temp = delta;
+  t->AccumulateGrad(std::move(temp));
+  EXPECT_TRUE(SameBits(t->grad, ref));
+
+  // A second contribution adds, as before.
+  ref.AddInPlace(second);
+  h->AccumulateGrad(second);
+  t->AccumulateGrad(Matrix(second));
+  EXPECT_TRUE(SameBits(h->grad, ref));
+  EXPECT_TRUE(SameBits(t->grad, ref));
+}
+
+TEST(FirstWriteGradTest, AccumulateGradScaledMatchesZeroFilledPlusAxpy) {
+  const Matrix delta = SignedZeroNaNDelta();
+  for (const double alpha : {-1.0, 0.5, -0.0}) {
+    Matrix ref(2, 4);
+    ref.AxpyInPlace(alpha, delta);
+    Var h = ScalarMul(MakeParam(Matrix(2, 4)), 1.0);
+    h->AccumulateGradScaled(alpha, delta);
+    EXPECT_TRUE(SameBits(h->grad, ref)) << "alpha " << alpha;
+    ref.AxpyInPlace(alpha, delta);
+    h->AccumulateGradScaled(alpha, delta);
+    EXPECT_TRUE(SameBits(h->grad, ref)) << "alpha " << alpha;
+  }
+}
+
+// Backward through op nodes: loss = sum((h + h) .* c) with h = 1.0 * p, so
+// s = h + h receives c (one first write), h receives it twice (a first
+// write, then an add) and the parameter p is written first via the scaled
+// path.
+TEST(FirstWriteGradTest, BackwardMatchesZeroFilledPlusAdd) {
+  const Matrix c = SignedZeroNaNDelta();
+  Var p = MakeParam(Matrix::FromRows({{1, -2, 3, 0}, {0.5, 4, -1, 2}}));
+  Var h = ScalarMul(p, 1.0);
+  Var s = Add(h, h);
+  Backward(SumAll(CWiseMul(s, MakeConstant(c))));
+  Matrix ref_s(2, 4);
+  ref_s.AddInPlace(c);
+  Matrix ref_h(2, 4);
+  ref_h.AddInPlace(ref_s);
+  ref_h.AddInPlace(ref_s);
+  Matrix ref_p(2, 4);
+  ref_p.AxpyInPlace(1.0, ref_h);
+  EXPECT_TRUE(SameBits(s->grad, ref_s));
+  EXPECT_TRUE(SameBits(h->grad, ref_h));
+  EXPECT_TRUE(SameBits(p->grad, ref_p));
+}
+
+// The op backwards that write their own first contribution: Relu (every
+// unary elementwise op), Dropout, ConcatCols and Spmm. Each receives c as
+// its output grad; its input's grad must equal the zero-filled reference.
+TEST(FirstWriteGradTest, OpBackwardsMatchZeroFilledPlusAdd) {
+  const Matrix c = SignedZeroNaNDelta();
+  const Matrix x = Matrix::FromRows({{1, -2, 3, 0}, {-0.0, 4, -1, 2}});
+  auto grad_of_input = [&](const std::function<Var(const Var&)>& op) {
+    Var h = ScalarMul(MakeParam(x), 1.0);
+    Backward(SumAll(CWiseMul(op(h), MakeConstant(c))));
+    return h->grad;
+  };
+
+  Matrix ref_relu(2, 4);
+  for (int64_t i = 0; i < c.size(); ++i) {
+    ref_relu.data()[i] += c.data()[i] * (x.data()[i] > 0.0 ? 1.0 : 0.0);
+  }
+  EXPECT_TRUE(SameBits(grad_of_input([](const Var& h) { return Relu(h); }),
+                       ref_relu));
+
+  Rng mask_rng(5);
+  Matrix ref_dropout(2, 4);
+  for (int64_t i = 0; i < c.size(); ++i) {
+    const double m = mask_rng.Bernoulli(0.5) ? 0.0 : 2.0;
+    ref_dropout.data()[i] += c.data()[i] * m;
+  }
+  Rng rng(5);
+  EXPECT_TRUE(SameBits(grad_of_input([&](const Var& h) {
+                         return Dropout(h, 0.5, /*training=*/true, &rng);
+                       }),
+                       ref_dropout));
+
+  // ConcatCols of [h, const]: h receives the first four columns of a 2 x 6
+  // grad.
+  const Matrix wide_c = Matrix::FromRows(
+      {{-0.0, kNaN, 1.5, 0.0, 7.0, -0.0}, {-2.25, -0.0, 4.0, 3.0, -0.0, 1.0}});
+  Var h = ScalarMul(MakeParam(x), 1.0);
+  Var cat = ConcatCols({h, MakeConstant(Matrix(2, 2))});
+  Backward(SumAll(CWiseMul(cat, MakeConstant(wide_c))));
+  Matrix ref_cat(2, 4);
+  for (int r = 0; r < 2; ++r) {
+    for (int col = 0; col < 4; ++col) ref_cat(r, col) += wide_c(r, col);
+  }
+  EXPECT_TRUE(SameBits(h->grad, ref_cat));
+
+  const SparseMatrix a =
+      SparseMatrix::FromCoo(2, 2, {{0, 0, 1.0}, {0, 1, -0.5}, {1, 1, 2.0}});
+  Matrix ref_spmm(2, 4);
+  ref_spmm.AddInPlace(a.SpmmTransposed(c));
+  EXPECT_TRUE(SameBits(
+      grad_of_input([&](const Var& in) { return Spmm(a, in); }), ref_spmm));
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "core/search_gradient.h"
 #include "graph/synthetic.h"
 #include "gtest/gtest.h"
+#include "tensor/pool.h"
 
 namespace ahg {
 namespace {
@@ -258,6 +259,37 @@ TEST(SearchGradientTest, ProducesValidLayersAndBeta) {
   EXPECT_NEAR(std::accumulate(result.beta.begin(), result.beta.end(), 0.0),
               1.0, 1e-9);
   EXPECT_GT(result.val_accuracy, 0.4);  // co-trained ensemble learns
+}
+
+// The supernet trains inside one arena: it pools (the pool serves hits)
+// and, once it returns, the pool is trimmed back to its idle size at entry.
+// Two back-to-back runs return the same bits, so a warm pool changes
+// nothing. The pool starts empty so that the comparison is exact: a trim
+// frees whole buffers, newest first, so it can undershoot a warm
+// watermark.
+TEST(SearchGradientTest, RunsInAnArenaAndRepeatsBitwise) {
+  GradientSearchConfig cfg;
+  cfg.k = 2;
+  cfg.max_epochs = 6;
+  cfg.train = FastTrain();
+  cfg.seed = 11;
+  MatrixPool::Global().Clear();
+  std::vector<GradientSearchResult> runs;
+  for (int run = 0; run < 2; ++run) {
+    const int64_t idle_before = MatrixPool::Global().IdleBytes();
+    const int64_t hits_before = MatrixPool::Global().Stats().hits;
+    runs.push_back(SearchGradient(TinyPool(), TestGraph(), TestSplit(), cfg));
+    EXPECT_EQ(MatrixPool::Global().IdleBytes(), idle_before) << "run " << run;
+    EXPECT_GT(MatrixPool::Global().Stats().hits, hits_before) << "run " << run;
+  }
+  EXPECT_EQ(runs[0].layers, runs[1].layers);
+  ASSERT_EQ(runs[0].beta.size(), runs[1].beta.size());
+  EXPECT_EQ(std::memcmp(runs[0].beta.data(), runs[1].beta.data(),
+                        runs[0].beta.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(&runs[0].val_accuracy, &runs[1].val_accuracy,
+                        sizeof(double)),
+            0);
 }
 
 TEST(HierarchicalTest, CombinedProbsAreRowStochastic) {

@@ -432,6 +432,21 @@ TEST(JobStoreTest, SpecWithUnknownFamilyIsRejected) {
             Status::Code::kInvalidArgument);
 }
 
+// An algo word naming no JobAlgo fails the load instead of running as
+// another search.
+TEST(JobStoreTest, SpecWithUnknownAlgoIsRejected) {
+  JobStore store(FreshRoot("spec_algo"));
+  SearchJobSpec spec = MakeSpec("rt", JobAlgo::kGradient);
+  ASSERT_TRUE(store.CreateJob(spec).ok());
+  // magic + version + kind, then the job id and dataset strings (u64
+  // length + bytes); the algo word follows.
+  const size_t algo_offset =
+      3 * 4 + (8 + spec.job_id.size()) + (8 + spec.dataset.size());
+  PatchU32(store.JobDir("rt") + "/spec.bin", algo_offset, 99);
+  EXPECT_EQ(store.LoadJobSpec("rt").status().code(),
+            Status::Code::kInvalidArgument);
+}
+
 // Bool words decode only from 0 and 1.
 TEST(JobStoreTest, CheckpointWithNonBooleanDoneWordIsRejected) {
   JobStore store(FreshRoot("ckpt_bool"));
@@ -625,6 +640,20 @@ TaskJobSpec MakeLinkSpec(const std::string& job_id) {
   spec.train.learning_rate = 2e-2;
   spec.seed = 91;
   return spec;
+}
+
+// A kind word naming no TaskKind fails the load.
+TEST(TaskJobTest, SpecWithUnknownKindIsRejected) {
+  JobStore store(FreshRoot("task_kind"));
+  const TaskJobSpec spec = MakeLinkSpec("rt");
+  ASSERT_TRUE(store.CreateTaskJob(spec).ok());
+  ASSERT_TRUE(store.LoadTaskJobSpec("rt").ok());
+  // Same layout as the search spec: the kind word follows the two strings.
+  const size_t kind_offset =
+      3 * 4 + (8 + spec.job_id.size()) + (8 + spec.dataset.size());
+  PatchU32(store.JobDir("rt") + "/task_spec.bin", kind_offset, 99);
+  EXPECT_EQ(store.LoadTaskJobSpec("rt").status().code(),
+            Status::Code::kInvalidArgument);
 }
 
 TEST(TaskJobTest, LinkWinnerSurvivesKillsBitwise) {
