@@ -8,12 +8,14 @@
 // incrementally over the k-hop dirty rows; queries keep serving across
 // every version swap.
 //
-// At the end the stream's final predictions are checked against a
-// from-scratch rebuild: MaterializeGraph() + a fresh InferenceEngine that
-// recomputes propagation cold. The dynamic subsystem guarantees bitwise
-// equality, so the comparison is exact (memcmp), not a tolerance test.
-// With --assert-match a mismatch (or any rejected batch) exits non-zero —
-// the CI dyn-smoke contract.
+// Every applied batch is also published into an InferenceEngine
+// (StreamingServer::PublishTo), which then serves the snapshot itself.
+// At the end both the stream's final predictions and that engine's are
+// checked against a from-scratch rebuild: MaterializeGraph() + a fresh
+// InferenceEngine that recomputes propagation cold. The dynamic subsystem
+// guarantees bitwise equality, so the comparison is exact (memcmp), not a
+// tolerance test. With --assert-match a mismatch (or any rejected batch or
+// failed publish) exits non-zero — the CI dyn-smoke contract.
 //
 // Usage:
 //   autohens_stream [--nodes N] [--mutations M] [--batch B] [--seed S]
@@ -175,6 +177,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   StreamingServer& server = *server_or.value();
+  // Born on the base graph; every publish retargets it at a snapshot.
+  serve::InferenceEngine published(&graph, serve::EngineOptions{});
 
   Rng rng(seed ^ 0x57ea3ULL);
   Stopwatch replay;
@@ -195,11 +199,17 @@ int main(int argc, char** argv) {
     }
     stats.value().incremental ? ++incremental : ++full;
     rows_refreshed += stats.value().rows_refreshed;
-    // A query in the middle of the stream: serving never blocks on apply.
+    if (Status s = server.PublishTo(&published); !s.ok()) {
+      std::fprintf(stderr, "publish failed: %s\n", s.ToString().c_str());
+      return 1;
+    }
+    // Queries in the middle of the stream: serving never blocks on apply.
     auto probs = server.PredictNodes({0, 1, 2});
-    if (!probs.ok()) {
-      std::fprintf(stderr, "mid-stream predict failed: %s\n",
-                   probs.status().ToString().c_str());
+    auto engine_probs = published.PredictNodes(model, {0, 1, 2});
+    if (!probs.ok() || !engine_probs.ok()) {
+      std::fprintf(stderr, "mid-stream predict failed: %s / %s\n",
+                   probs.status().ToString().c_str(),
+                   engine_probs.status().ToString().c_str());
       return 1;
     }
   }
@@ -222,24 +232,31 @@ int main(int argc, char** argv) {
 
   // From-scratch oracle: rebuild the final graph and recompute propagation
   // cold on a fresh static engine. The stream's incrementally patched
-  // predictions must agree bitwise.
+  // predictions, and the engine it published into, must agree bitwise.
   Stopwatch rebuild_watch;
   Graph rebuilt = final_snap->MaterializeGraph();
-  serve::InferenceEngine engine(&rebuilt, serve::EngineOptions{});
+  serve::InferenceEngine cold(&rebuilt, serve::EngineOptions{});
   std::vector<int> nodes;
   for (int i = 0; i < rebuilt.num_nodes(); ++i) nodes.push_back(i);
   auto streamed = server.PredictNodes(nodes);
-  auto statically = engine.PredictNodes(model, nodes);
-  if (!streamed.ok() || !statically.ok()) {
-    std::fprintf(stderr, "final predictions failed: %s / %s\n",
+  auto from_published = published.PredictNodes(model, nodes);
+  auto statically = cold.PredictNodes(model, nodes);
+  if (!streamed.ok() || !from_published.ok() || !statically.ok()) {
+    std::fprintf(stderr, "final predictions failed: %s / %s / %s\n",
                  streamed.status().ToString().c_str(),
+                 from_published.status().ToString().c_str(),
                  statically.status().ToString().c_str());
     return 1;
   }
-  const bool match = BitwiseEqual(streamed.value(), statically.value());
-  std::printf("from-scratch rebuild check (%.3fs): %s\n",
+  const bool stream_match = BitwiseEqual(streamed.value(), statically.value());
+  const bool engine_match =
+      BitwiseEqual(from_published.value(), statically.value());
+  const bool match = stream_match && engine_match;
+  std::printf("from-scratch rebuild check (%.3fs): stream %s, published "
+              "engine %s\n",
               rebuild_watch.ElapsedSeconds(),
-              match ? "bitwise match over all nodes" : "MISMATCH");
+              stream_match ? "bitwise match over all nodes" : "MISMATCH",
+              engine_match ? "bitwise match over all nodes" : "MISMATCH");
 
   if (!metrics_out.empty()) {
     if (Status s = obs::MetricsRegistry::Global().WriteTsv(metrics_out);

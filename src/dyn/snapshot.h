@@ -136,11 +136,12 @@ class GraphSnapshot {
       const std::vector<Mutation>& batch) const;
 
   // From-scratch static Graph with this snapshot's topology, features and
-  // labels — the independent rebuild the stream example and tests compare
-  // against. On a reordered snapshot the result carries the same
-  // permutation (external graph rebuilt, then re-permuted), so its CSR
-  // caches keep the rank-order invariant and a cold engine on it serves
-  // bitwise identically to the incremental path.
+  // labels — the independent rebuild the tests, examples and benchmark
+  // compare against; no serving path builds it (an engine serves a
+  // published snapshot directly). On a reordered snapshot the result
+  // carries the same permutation (external graph rebuilt, then
+  // re-permuted), so its CSR caches keep the rank-order invariant and a
+  // cold engine on it serves bitwise identically to the incremental path.
   Graph MaterializeGraph() const;
 
   // Recomputes the layout from the CURRENT logical topology expressed in

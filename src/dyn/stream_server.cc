@@ -170,28 +170,14 @@ Status StreamingServer::PublishTo(serve::InferenceEngine* engine) {
   if (engine == nullptr) {
     return Status::InvalidArgument("PublishTo: null engine");
   }
+  // Serialized with ApplyPending, so publishes reach the engine in version
+  // order.
   std::lock_guard<std::mutex> lock(apply_mu_);
   std::shared_ptr<const State> s = state();
   // Engines are born at generation 0 on their construction graph, so
   // snapshot version v maps to engine generation v + 1.
-  const uint64_t target = s->snap->version() + 1;
-  const uint64_t current = engine->graph_generation();
-  if (current > target) {
-    return Status::InvalidArgument(
-        StrFormat("engine generation %d is ahead of snapshot version %d",
-                  static_cast<int>(current), static_cast<int>(target - 1)));
-  }
-  if (current < target) {
-    auto graph = std::make_shared<const Graph>(s->snap->MaterializeGraph());
-    Status swapped = engine->SwapGraph(graph.get(), target);
-    if (!swapped.ok()) return swapped;
-    // The engine holds a raw pointer; keep this and every prior published
-    // graph alive so in-flight batches that resolved the old pointer drain
-    // safely (publishes are checkpoint-grained, so the list stays short).
-    retired_graphs_.push_back(published_graph_);
-    published_graph_ = std::move(graph);
-  }
-  return engine->InstallHiddenStates(model_.version, s->hidden);
+  return engine->Publish(s->snap, s->snap->version() + 1, model_.version,
+                         s->hidden);
 }
 
 }  // namespace ahg::dyn

@@ -9,11 +9,13 @@
 // from that immutable pair, so a concurrent publish retargets later
 // queries while in-flight ones finish against the version they started on.
 //
-// PublishTo() bridges into the static serving stack: it materializes the
-// current snapshot as a Graph, SwapGraph()s the InferenceEngine onto it
-// (keyed by the snapshot version) and installs the incrementally refreshed
-// hidden states into the engine's PropagationCache, so the first post-swap
-// query pays a row gather instead of a full forward.
+// PublishTo() bridges into the static serving stack: it hands the current
+// (snapshot, hidden) pair to InferenceEngine::Publish, which installs the
+// incrementally refreshed hidden states in the engine's PropagationCache
+// and then retargets the engine at the snapshot itself — no Graph is
+// built, and the first post-publish query pays a row gather instead of a
+// full forward. A retired snapshot is freed when its last holder (this
+// server, the engine, or an in-flight request) drops it.
 //
 // Metrics (process-wide registry): dyn.batches, dyn.mutations_applied,
 // dyn.incremental_refreshes, dyn.full_refreshes, dyn.rows_refreshed
@@ -81,11 +83,11 @@ class StreamingServer {
   std::shared_ptr<const Matrix> hidden() const;
   uint64_t version() const;
 
-  // Materializes the current snapshot, swaps `engine` onto it (generation =
-  // snapshot version + 1, since engines start at generation 0 and versions
-  // must strictly increase) and installs the refreshed hidden states. The
-  // materialized graph is owned by this server and kept alive until the
-  // next PublishTo or destruction.
+  // Publishes the current snapshot and its refreshed hidden states into
+  // `engine` (generation = snapshot version + 1, since engines start at
+  // generation 0 on their construction graph). Publishing the same version
+  // again only re-installs the states. The engine must serve this model's
+  // feature width.
   Status PublishTo(serve::InferenceEngine* engine);
 
   const serve::ServableModel& model() const { return model_; }
@@ -107,10 +109,6 @@ class StreamingServer {
 
   std::mutex apply_mu_;  // serializes mutator-side work
   std::unique_ptr<IncrementalPropagator> propagator_;  // under apply_mu_
-  std::shared_ptr<const Graph> published_graph_;       // under apply_mu_
-  // Previously published graphs, kept alive for engine batches still
-  // holding their raw pointer (see PublishTo).
-  std::vector<std::shared_ptr<const Graph>> retired_graphs_;
 
   mutable std::mutex state_mu_;  // guards the published pointer only
   std::shared_ptr<const State> state_;

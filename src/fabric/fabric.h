@@ -31,8 +31,11 @@
 //
 // Streamed mutations (src/dyn) route like queries: SubmitMutation hashes
 // the tenant to its owning shard and appends to that tenant's
-// StreamingServer; PublishStream folds the stream's latest snapshot into
-// the owning shard's engine only.
+// StreamingServer; PublishStream publishes the stream's latest snapshot
+// (by shared_ptr, no Graph rebuild) into the owning shard's engine only.
+// From then on that tenant serves only stage-planned families (kGcn,
+// kSgc): a Rollout of any other family fails its prepare phase with
+// InvalidArgument and leaves the fleet pin where it was.
 #ifndef AUTOHENS_FABRIC_FABRIC_H_
 #define AUTOHENS_FABRIC_FABRIC_H_
 
@@ -140,7 +143,8 @@ class ServingFabric {
                                     dyn::Mutation mutation);
 
   // Applies the tenant's pending mutations and publishes the resulting
-  // snapshot into the owning shard's engine. In partitioned mode the batch
+  // snapshot and hidden states into the owning shard's engine
+  // (InferenceEngine::Publish). In partitioned mode the batch
   // steps the snapshot chain and routes the delta through the plan
   // (PartitionedEngine::ApplyDelta) — every warmed version is refreshed
   // over its dirty sets with per-stage halo exchange.

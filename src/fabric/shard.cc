@@ -31,7 +31,6 @@ Status EngineShard::AddTenant(const std::string& tenant, const Graph* graph,
   engine_options.shared_cache = &cache_;
   engine_options.cache_scope = tenant;
   Tenant entry;
-  entry.graph = graph;
   entry.registry = registry;
   entry.engine = std::make_unique<serve::InferenceEngine>(
       graph, engine_options, &stats_);

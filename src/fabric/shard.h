@@ -40,8 +40,8 @@ class EngineShard {
   // Installs `tenant` on this shard: an engine over `graph` (cache keys
   // scoped by the tenant name) and a batcher resolving models through
   // `batcher_options.model_resolver` (set by the fabric to the fleet
-  // version pin). `graph` and `registry` must outlive the shard. Fails on
-  // a duplicate tenant name.
+  // version pin). `graph` must outlive the shard or the tenant's first
+  // PublishStream, `registry` the shard. Fails on a duplicate tenant name.
   Status AddTenant(const std::string& tenant, const Graph* graph,
                    const serve::ModelRegistry* registry,
                    serve::EngineOptions engine_options,
@@ -63,8 +63,9 @@ class EngineShard {
   Status WarmVersion(int version);
 
   // Dynamic-graph bridge. AttachStream binds a tenant to its streaming
-  // server; PublishStream materializes the stream's latest snapshot into
-  // the tenant's engine (SwapGraph + InstallHiddenStates).
+  // server; PublishStream publishes the stream's latest snapshot and hidden
+  // states into the tenant's engine (StreamingServer::PublishTo), which
+  // from then on serves the snapshot itself.
   Status AttachStream(const std::string& tenant, dyn::StreamingServer* stream);
   dyn::StreamingServer* stream(const std::string& tenant) const;
   Status PublishStream(const std::string& tenant);
@@ -80,7 +81,6 @@ class EngineShard {
 
  private:
   struct Tenant {
-    const Graph* graph = nullptr;
     const serve::ModelRegistry* registry = nullptr;
     std::unique_ptr<serve::InferenceEngine> engine;
     std::unique_ptr<serve::RequestBatcher> batcher;

@@ -2,8 +2,11 @@
 
 #include <cstring>
 #include <mutex>
+#include <utility>
 
 #include "autodiff/ops.h"
+#include "dyn/incremental.h"
+#include "dyn/snapshot.h"
 #include "graph/reorder.h"
 #include "nn/linear.h"
 #include "obs/trace.h"
@@ -22,49 +25,72 @@ Matrix ApplyClassifierHead(const Matrix& hidden_rows,
   return RowSoftmax(logits);
 }
 
+int InferenceEngine::View::feature_dim() const {
+  return snap != nullptr ? snap->feature_dim() : graph->feature_dim();
+}
+
+const NodePermutation* InferenceEngine::View::permutation() const {
+  return snap != nullptr ? snap->permutation() : graph->permutation();
+}
+
 InferenceEngine::InferenceEngine(const Graph* graph,
                                  const EngineOptions& options,
                                  ServeStats* stats)
-    : graph_(graph),
-      own_cache_(options.cache_byte_budget),
+    : own_cache_(options.cache_byte_budget),
       cache_(options.shared_cache != nullptr ? options.shared_cache
                                              : &own_cache_),
       scope_(options.cache_scope),
       stats_(stats) {
   AHG_CHECK(graph != nullptr);
   AHG_CHECK(scope_.find('/') == std::string::npos);
+  view_.graph = graph;
 }
 
-StatusOr<std::shared_ptr<const Matrix>> InferenceEngine::HiddenStates(
+StatusOr<InferenceEngine::Resolved> InferenceEngine::Resolve(
     const ServableModel& model) {
-  // One consistent (graph, generation) pair for the whole request; a
-  // concurrent SwapGraph retargets later requests, never this one.
-  const Graph* graph;
-  uint64_t generation;
+  // One view for the whole request, and the cache probe under the same
+  // shared lock: Publish Puts the new generation's states before it flips
+  // and invalidates the old generation only after, so a view pinned here
+  // always finds the states installed for it.
+  Resolved r;
+  std::string key;
+  std::shared_future<std::shared_ptr<const Matrix>> resident;
   {
-    std::shared_lock<std::shared_mutex> lock(graph_mu_);
-    graph = graph_;
-    generation = graph_generation_;
+    std::shared_lock<std::shared_mutex> lock(view_mu_);
+    r.view = view_;
+    key = PropagationKey(GraphId(scope_, r.view.generation), model.version);
+    resident = cache_->Find(key);
   }
-  if (model.config.in_dim != graph->feature_dim()) {
+  if (model.config.in_dim != r.view.feature_dim()) {
     return Status::InvalidArgument(
         StrFormat("model consumes %d-dim features, serving graph has %d-dim",
-                  model.config.in_dim, graph->feature_dim()));
+                  model.config.in_dim, r.view.feature_dim()));
   }
-  // Published versions are immutable and the generation pins the topology,
-  // so (generation, version) identifies the propagation product.
-  const std::string key =
-      PropagationKey(GraphId(scope_, generation), model.version);
+  if (r.view.snap != nullptr &&
+      !dyn::IncrementalPropagator::Supports(model.config)) {
+    return Status::InvalidArgument(StrFormat(
+        "model family %s has no stage plan to serve a published snapshot",
+        ModelFamilyName(model.config.family)));
+  }
   bool computed = false;
-  std::shared_ptr<const Matrix> hidden =
-      cache_->GetOrCompute(key, [graph, &model, &computed] {
-        computed = true;
-        std::unique_ptr<GnnModel> zoo = BuildModel(model.config);
-        std::vector<Matrix> weights(model.params.begin(),
-                                    model.params.end() - 2);
-        zoo->params()->Restore(weights);
-        return zoo->ForwardInference(*graph, graph->features());
-      });
+  if (resident.valid()) {
+    r.hidden = resident.get();
+  } else {
+    // Published versions are immutable and the generation pins the
+    // topology, so (generation, version) identifies the product.
+    r.hidden = cache_->GetOrCompute(key, [&r, &model, &computed] {
+      computed = true;
+      std::vector<Matrix> weights(model.params.begin(),
+                                  model.params.end() - 2);
+      if (r.view.snap != nullptr) {
+        return dyn::IncrementalPropagator(model.config, std::move(weights))
+            .ComputeFull(*r.view.snap);
+      }
+      std::unique_ptr<GnnModel> zoo = BuildModel(model.config);
+      zoo->params()->Restore(weights);
+      return zoo->ForwardInference(*r.view.graph, r.view.graph->features());
+    });
+  }
   if (obs::TracingEnabled()) {
     // Instant-style marker (the lookup itself is sub-microsecond); the
     // miss's compute cost shows up as the enclosed serve/cache_compute span.
@@ -80,27 +106,21 @@ StatusOr<std::shared_ptr<const Matrix>> InferenceEngine::HiddenStates(
     }
     stats_->SetCacheBytes(cache_->current_bytes());
   }
-  return hidden;
+  return r;
 }
 
 StatusOr<Matrix> InferenceEngine::PredictNodes(const ServableModel& model,
                                                const std::vector<int>& nodes) {
   AHG_TRACE_SPAN_ARG("serve/predict_nodes",
                      static_cast<int64_t>(nodes.size()));
-  auto hidden = HiddenStates(model);
-  if (!hidden.ok()) return hidden.status();
-  const Matrix& h = *hidden.value();
-  // Query ids are external; hidden rows live in the serving graph's
-  // (possibly reordered) internal order. Translate once here — the same
-  // benign swap race as the row-count validation below, since a reordered
-  // graph swap republishes matching hidden states with it.
-  const NodePermutation* perm;
-  {
-    std::shared_lock<std::shared_mutex> lock(graph_mu_);
-    perm = graph_->permutation();
-  }
-  // Validate against the hidden-state matrix the request resolved, so the
-  // answer is self-consistent even when a swap lands mid-request.
+  auto resolved = Resolve(model);
+  if (!resolved.ok()) return resolved.status();
+  const Matrix& h = *resolved.value().hidden;
+  // Query ids are external; hidden rows live in the pinned view's
+  // (possibly reordered) internal order. The permutation comes from the
+  // same view as the rows, so a publish of a re-reordered snapshot that
+  // lands mid-request cannot pair one version's rows with another's ids.
+  const NodePermutation* perm = resolved.value().view.permutation();
   for (int node : nodes) {
     if (node < 0 || node >= h.rows()) {
       return Status::InvalidArgument(
@@ -117,14 +137,10 @@ StatusOr<Matrix> InferenceEngine::PredictNodes(const ServableModel& model,
 }
 
 StatusOr<Matrix> InferenceEngine::PredictAll(const ServableModel& model) {
-  auto hidden = HiddenStates(model);
-  if (!hidden.ok()) return hidden.status();
-  Matrix probs = ApplyClassifierHead(*hidden.value(), model);
-  const NodePermutation* perm;
-  {
-    std::shared_lock<std::shared_mutex> lock(graph_mu_);
-    perm = graph_->permutation();
-  }
+  auto resolved = Resolve(model);
+  if (!resolved.ok()) return resolved.status();
+  Matrix probs = ApplyClassifierHead(*resolved.value().hidden, model);
+  const NodePermutation* perm = resolved.value().view.permutation();
   // Row order is an external contract: row e is node e's probabilities. On
   // a reordered graph, gather the internally ordered rows back out.
   if (perm != nullptr && probs.rows() == perm->num_nodes()) {
@@ -134,69 +150,53 @@ StatusOr<Matrix> InferenceEngine::PredictAll(const ServableModel& model) {
 }
 
 Status InferenceEngine::Warm(const ServableModel& model) {
-  return HiddenStates(model).status();
+  return Resolve(model).status();
 }
 
-Status InferenceEngine::SwapGraph(const Graph* graph, uint64_t generation) {
-  if (graph == nullptr) {
-    return Status::InvalidArgument("SwapGraph: null graph");
+Status InferenceEngine::Publish(std::shared_ptr<const dyn::GraphSnapshot> snap,
+                                uint64_t generation, int version,
+                                std::shared_ptr<const Matrix> hidden) {
+  if (snap == nullptr || hidden == nullptr) {
+    return Status::InvalidArgument("Publish: null snapshot or hidden states");
   }
-  uint64_t retired;
-  {
-    std::unique_lock<std::shared_mutex> lock(graph_mu_);
-    if (generation <= graph_generation_) {
-      return Status::InvalidArgument(
-          StrFormat("SwapGraph: generation %lld not above current %lld",
-                    static_cast<long long>(generation),
-                    static_cast<long long>(graph_generation_)));
-    }
-    retired = graph_generation_;
-    graph_ = graph;
-    graph_generation_ = generation;
-  }
-  if (obs::TracingEnabled()) {
-    obs::TraceRecorder& recorder = obs::TraceRecorder::Instance();
-    recorder.Emit("serve/graph_swap", recorder.NowMicros(), 0,
-                  static_cast<int64_t>(generation));
-  }
-  // Products of the retired topology must never answer a new query;
-  // in-flight requests that already resolved a shared_ptr keep it alive.
-  cache_->InvalidateGraph(GraphId(scope_, retired));
-  if (stats_ != nullptr) stats_->SetCacheBytes(cache_->current_bytes());
-  return Status::OK();
-}
-
-Status InferenceEngine::InstallHiddenStates(
-    int version, std::shared_ptr<const Matrix> hidden) {
-  if (hidden == nullptr) {
-    return Status::InvalidArgument("InstallHiddenStates: null hidden states");
-  }
-  const Graph* graph;
-  uint64_t generation;
-  {
-    std::shared_lock<std::shared_mutex> lock(graph_mu_);
-    graph = graph_;
-    generation = graph_generation_;
-  }
-  if (hidden->rows() != graph->num_nodes()) {
+  if (hidden->rows() != snap->num_nodes()) {
     return Status::InvalidArgument(
-        StrFormat("hidden states have %d rows, serving graph has %d nodes",
-                  hidden->rows(), graph->num_nodes()));
+        StrFormat("Publish: hidden states have %d rows, snapshot has %d nodes",
+                  hidden->rows(), snap->num_nodes()));
   }
-  cache_->Put(PropagationKey(GraphId(scope_, generation), version),
-              std::move(hidden));
+  View retired;
+  {
+    std::unique_lock<std::shared_mutex> lock(view_mu_);
+    if (generation < view_.generation ||
+        (generation == view_.generation && snap != view_.snap)) {
+      return Status::InvalidArgument(StrFormat(
+          "Publish: generation %lld is not above current %lld",
+          static_cast<long long>(generation),
+          static_cast<long long>(view_.generation)));
+    }
+    cache_->Put(PropagationKey(GraphId(scope_, generation), version),
+                std::move(hidden));
+    retired = std::exchange(view_, View{nullptr, std::move(snap), generation});
+  }
+  // The retired view (and, if this was its last holder, its snapshot) is
+  // released here, outside the lock.
+  if (retired.generation != generation) {
+    if (obs::TracingEnabled()) {
+      obs::TraceRecorder& recorder = obs::TraceRecorder::Instance();
+      recorder.Emit("serve/graph_swap", recorder.NowMicros(), 0,
+                    static_cast<int64_t>(generation));
+    }
+    // Products of the retired topology must never answer a new query;
+    // in-flight requests that already resolved a shared_ptr keep it alive.
+    cache_->InvalidateGraph(GraphId(scope_, retired.generation));
+  }
   if (stats_ != nullptr) stats_->SetCacheBytes(cache_->current_bytes());
   return Status::OK();
 }
 
 uint64_t InferenceEngine::graph_generation() const {
-  std::shared_lock<std::shared_mutex> lock(graph_mu_);
-  return graph_generation_;
-}
-
-const Graph& InferenceEngine::graph() const {
-  std::shared_lock<std::shared_mutex> lock(graph_mu_);
-  return *graph_;
+  std::shared_lock<std::shared_mutex> lock(view_mu_);
+  return view_.generation;
 }
 
 Matrix InferenceEngine::TrainingPathProbs(const ServableModel& model,

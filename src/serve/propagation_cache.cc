@@ -37,18 +37,15 @@ std::shared_ptr<const Matrix> PropagationCache::GetOrCompute(
   bool owner = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++tick_;
     auto it = entries_.find(key);
     if (it != entries_.end()) {
-      ++hits_;
-      it->second.last_used = tick_;
-      future = it->second.future;
+      future = HitLocked(it);
     } else {
       ++misses_;
       owner = true;
       Entry entry;
       entry.future = promise.get_future().share();
-      entry.last_used = tick_;
+      entry.last_used = ++tick_;
       entry.owner = &promise;
       future = entry.future;
       entries_.emplace(key, std::move(entry));
@@ -93,6 +90,21 @@ std::shared_ptr<const Matrix> PropagationCache::GetOrCompute(
     return value;
   }
   return future.get();
+}
+
+std::shared_future<std::shared_ptr<const Matrix>> PropagationCache::Find(
+    const std::string& key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find(key);
+  if (it == entries_.end()) return {};
+  return HitLocked(it);
+}
+
+std::shared_future<std::shared_ptr<const Matrix>> PropagationCache::HitLocked(
+    std::unordered_map<std::string, Entry>::iterator it) {
+  ++hits_;
+  it->second.last_used = ++tick_;
+  return it->second.future;
 }
 
 void PropagationCache::EvictLocked(const std::string& keep) {

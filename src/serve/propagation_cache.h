@@ -69,6 +69,12 @@ class PropagationCache {
   std::shared_ptr<const Matrix> GetOrCompute(
       const std::string& key, const std::function<Matrix()>& compute);
 
+  // The resident or in-flight entry for `key`, counted as a hit, or an
+  // invalid future (nothing counted) when there is none. Never computes, so
+  // a caller can probe under its own lock and compute outside it.
+  std::shared_future<std::shared_ptr<const Matrix>> Find(
+      const std::string& key);
+
   // Inserts (or replaces) `key` with an already-computed value — the
   // patch-in-place path: the dynamic-graph refresh computes the new H^(L)
   // incrementally and publishes it here without a compute callback.
@@ -105,6 +111,10 @@ class PropagationCache {
     // re-inserted by a later call in the meantime.
     const void* owner = nullptr;
   };
+
+  // Counts a hit on `it` and returns its future.
+  std::shared_future<std::shared_ptr<const Matrix>> HitLocked(
+      std::unordered_map<std::string, Entry>::iterator it);
 
   // Evicts ready LRU entries (never `keep`) until the budget holds.
   void EvictLocked(const std::string& keep);

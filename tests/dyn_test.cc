@@ -3,14 +3,20 @@
 // SpMM bitwise guarantees, and the tentpole oracle — incremental
 // propagation refresh is bitwise identical to a cold full recompute over
 // randomized mutation batches, for GCN and SGC. Also covers the serving
-// integration: InferenceEngine snapshot swap + installed hidden states,
-// PropagationCache graph-scoped invalidation and its metrics mirror, and
-// concurrent readers during ApplyPending (this test runs under TSan and
-// ASan in CI).
+// integration: InferenceEngine::Publish of a snapshot + its hidden states,
+// stage-plan recompute on a cleared cache, torn-read freedom across
+// reordered publishes, PropagationCache graph-scoped invalidation and its
+// metrics mirror, and concurrent readers during ApplyPending (this test
+// runs under TSan and ASan in CI).
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "util/bitset.h"
@@ -20,6 +26,7 @@
 #include "dyn/mutation.h"
 #include "dyn/snapshot.h"
 #include "dyn/stream_server.h"
+#include "graph/reorder.h"
 #include "graph/synthetic.h"
 #include "gtest/gtest.h"
 #include "nn/linear.h"
@@ -89,10 +96,12 @@ Mutation RandomMutation(const GraphSnapshot& snap, Rng* rng) {
       return Mutation::AddEdge(u, v);
     }
     if (kind < 7) {  // remove a random existing edge
+      // Mutations speak external ids; the raw adjacency is stored in the
+      // snapshot's (possibly reordered) internal order.
       const int u = static_cast<int>(rng->UniformInt(n));
-      const DeltaCsr::RowRef row = snap.raw_adjacency().Row(u);
+      const DeltaCsr::RowRef row = snap.raw_adjacency().Row(snap.ToInternal(u));
       if (row.nnz == 0) continue;
-      const int v = row.cols[rng->UniformInt(row.nnz)];
+      const int v = snap.ToExternal(row.cols[rng->UniformInt(row.nnz)]);
       return Mutation::RemoveEdge(u, v);
     }
     if (kind < 9) {  // feature update
@@ -105,6 +114,23 @@ Mutation RandomMutation(const GraphSnapshot& snap, Rng* rng) {
     for (double& x : f) x = rng->Normal();
     return Mutation::AddNode(std::move(f),
                              static_cast<int>(rng->UniformInt(3)));
+  }
+}
+
+// Submits `count` RandomMutations drawn against the server's latest
+// snapshot, each edge pair at most once, so a large batch stays valid.
+void SubmitRandomBatch(StreamingServer* server, int count, Rng* rng) {
+  const std::shared_ptr<const GraphSnapshot> snap = server->snapshot();
+  std::set<std::pair<int, int>> pairs;
+  for (int submitted = 0; submitted < count;) {
+    Mutation m = RandomMutation(*snap, rng);
+    if ((m.kind == MutationKind::kAddEdge ||
+         m.kind == MutationKind::kRemoveEdge) &&
+        !pairs.insert({std::min(m.u, m.v), std::max(m.u, m.v)}).second) {
+      continue;
+    }
+    server->Submit(std::move(m));
+    ++submitted;
   }
 }
 
@@ -555,7 +581,7 @@ TEST(StreamingServerTest, PublishToSwapsEngineAndInstallsHiddenStates) {
   ASSERT_TRUE(server.PublishTo(&engine).ok());
   EXPECT_EQ(engine.graph_generation(), server.version() + 1);
 
-  // The installed hidden states mean the first post-swap query is a cache
+  // The installed hidden states mean the first post-publish query is a cache
   // hit, and its answers match the streaming path bitwise.
   const int64_t misses_before = engine.cache().misses();
   std::vector<int> nodes = {0, 3, 9};
@@ -571,14 +597,186 @@ TEST(StreamingServerTest, PublishToSwapsEngineAndInstallsHiddenStates) {
   EXPECT_EQ(engine.graph_generation(), server.version() + 1);
 }
 
-TEST(InferenceEngineTest, SwapGraphRequiresIncreasingGenerations) {
+TEST(InferenceEngineTest, PublishRequiresIncreasingGenerations) {
   Graph graph = SmallGraph(73);
   Graph other = SmallGraph(74);
+  auto snap = std::make_shared<const GraphSnapshot>(
+      GraphSnapshot::FromGraph(graph).value());
+  auto other_snap = std::make_shared<const GraphSnapshot>(
+      GraphSnapshot::FromGraph(other).value());
+  auto states = [](const GraphSnapshot& s) {
+    return std::make_shared<const Matrix>(s.num_nodes(), 8);
+  };
   serve::InferenceEngine engine(&graph, serve::EngineOptions{});
-  EXPECT_FALSE(engine.SwapGraph(&other, 0).ok());
-  EXPECT_TRUE(engine.SwapGraph(&other, 2).ok());
-  EXPECT_FALSE(engine.SwapGraph(&graph, 2).ok());
+  EXPECT_FALSE(engine.Publish(other_snap, 0, 1, states(*other_snap)).ok());
+  EXPECT_TRUE(engine.Publish(other_snap, 2, 1, states(*other_snap)).ok());
+  EXPECT_FALSE(engine.Publish(snap, 2, 1, states(*snap)).ok());
+  EXPECT_FALSE(engine.Publish(snap, 1, 1, states(*snap)).ok());
   EXPECT_EQ(engine.graph_generation(), 2u);
+  // The same snapshot at the same generation only re-installs states.
+  EXPECT_TRUE(engine.Publish(other_snap, 2, 1, states(*other_snap)).ok());
+  // Hidden states must have one row per snapshot node; nothing flips
+  // when they do not.
+  EXPECT_FALSE(engine
+                   .Publish(snap, 3, 1,
+                            std::make_shared<const Matrix>(
+                                snap->num_nodes() + 1, 8))
+                   .ok());
+  EXPECT_FALSE(engine.Publish(nullptr, 3, 1, states(*snap)).ok());
+  EXPECT_FALSE(engine.Publish(snap, 3, 1, nullptr).ok());
+  EXPECT_EQ(engine.graph_generation(), 2u);
+}
+
+// A cache miss on a published snapshot runs the stage plan over the
+// snapshot itself; it must match a cold engine on the materialized graph
+// bitwise, through appended nodes and (with kRcm) compaction re-reorders.
+class SnapshotMissTest
+    : public ::testing::TestWithParam<
+          std::tuple<ModelFamily, ReorderStrategy>> {};
+
+TEST_P(SnapshotMissTest, ClearedCacheRecomputesLikeColdEngine) {
+  const auto [family, reorder] = GetParam();
+  Graph graph = SmallGraph(83, /*num_nodes=*/64);
+  if (reorder != ReorderStrategy::kNone) {
+    graph = ReorderGraph(graph, reorder, 83);
+  }
+  const serve::ServableModel model = MakeServable(graph, 5, family);
+  StreamOptions options;
+  options.reorder = reorder;
+  options.reorder_seed = 83;
+  auto server_or = StreamingServer::Create(graph, model, options);
+  ASSERT_TRUE(server_or.ok()) << server_or.status().ToString();
+  StreamingServer& server = *server_or.value();
+  serve::PropagationCache cache(/*byte_budget=*/0);
+  serve::EngineOptions engine_options;
+  engine_options.shared_cache = &cache;
+  serve::InferenceEngine engine(&graph, engine_options);
+
+  constexpr int kSteps = 4;
+  Rng rng(21);
+  for (int step = 0; step < kSteps; ++step) {
+    SubmitRandomBatch(&server, 12, &rng);
+    server.Submit(Mutation::AddNode(
+        std::vector<double>(static_cast<size_t>(graph.feature_dim()), 0.5),
+        1));
+    ASSERT_TRUE(server.ApplyPending().ok());
+    ASSERT_TRUE(server.PublishTo(&engine).ok());
+
+    cache.Clear();
+    const int64_t misses = cache.misses();
+    auto served = engine.PredictAll(model);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    EXPECT_EQ(cache.misses(), misses + 1);  // recomputed, not installed
+    EXPECT_EQ(served.value().rows(), server.snapshot()->num_nodes());
+    EXPECT_GT(served.value().rows(), graph.num_nodes() + step);  // appended
+
+    const Graph rebuilt = server.snapshot()->MaterializeGraph();
+    serve::InferenceEngine cold(&rebuilt, serve::EngineOptions{});
+    auto expected = cold.PredictAll(model);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_TRUE(BitwiseEqual(served.value(), expected.value()));
+  }
+  if (reorder != ReorderStrategy::kNone) {
+    // Each compaction re-reorder bumps the version a second time.
+    EXPECT_GT(server.version(), static_cast<uint64_t>(kSteps));
+    EXPECT_NE(server.snapshot()->permutation(), nullptr);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FamiliesAndLayouts, SnapshotMissTest,
+    ::testing::Combine(::testing::Values(ModelFamily::kGcn, ModelFamily::kSgc),
+                       ::testing::Values(ReorderStrategy::kNone,
+                                         ReorderStrategy::kRcm)));
+
+// Each request pins one view: while a reordered stream publishes
+// re-reordered snapshots, every answer must be exactly some published
+// version's cold answer — never one version's rows read through another
+// version's permutation.
+TEST(StreamingServerTest, ReadersNeverTearAcrossReorderedPublishes) {
+  const Graph graph =
+      ReorderGraph(SmallGraph(89, /*num_nodes=*/96), ReorderStrategy::kRcm, 89);
+  const serve::ServableModel model = MakeServable(graph, 6);
+  StreamOptions options;
+  options.reorder = ReorderStrategy::kRcm;
+  options.reorder_seed = 89;
+  auto server_or = StreamingServer::Create(graph, model, options);
+  ASSERT_TRUE(server_or.ok()) << server_or.status().ToString();
+  StreamingServer& server = *server_or.value();
+  serve::InferenceEngine engine(&graph, serve::EngineOptions{});
+
+  // Every node the first version has, in external ids.
+  std::vector<int> nodes(static_cast<size_t>(graph.num_nodes()));
+  for (int i = 0; i < graph.num_nodes(); ++i) nodes[static_cast<size_t>(i)] = i;
+  auto cold_answer = [&](const Graph& g) {
+    serve::InferenceEngine cold(&g, serve::EngineOptions{});
+    return cold.PredictNodes(model, nodes).value();
+  };
+  // Oracles are registered before their version is published.
+  std::mutex oracle_mu;
+  std::vector<Matrix> oracles = {cold_answer(graph)};
+  auto matches_some_oracle = [&](const Matrix& answer) {
+    std::lock_guard<std::mutex> lock(oracle_mu);
+    for (const Matrix& oracle : oracles) {
+      if (BitwiseEqual(answer, oracle)) return true;
+    }
+    return false;
+  };
+
+  ASSERT_TRUE(engine.Warm(model).ok());
+  const int64_t misses = engine.cache().misses();
+  std::atomic<bool> stop{false};
+  std::atomic<int> reads{0};
+  std::atomic<int> torn{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      do {
+        auto probs = engine.PredictNodes(model, nodes);
+        if (!probs.ok()) {
+          // Stopping also releases the mutator's wait below.
+          ADD_FAILURE() << probs.status().ToString();
+          stop.store(true);
+          return;
+        }
+        if (!matches_some_oracle(probs.value())) torn.fetch_add(1);
+        reads.fetch_add(1);
+      } while (!stop.load());
+    });
+  }
+  // The mutator runs in a lambda so a failed assertion still stops and
+  // joins the readers below.
+  int reorders = 0;
+  auto mutate = [&] {
+    Rng rng(31);
+    for (int step = 0; step < 40; ++step) {
+      // Let the readers answer a few requests against the current view.
+      for (const int seen = reads.load();
+           reads.load() < seen + 3 && !stop.load();) {
+        std::this_thread::yield();
+      }
+      // Dense batches: most of them trip compaction, so most publishes
+      // carry a fresh permutation.
+      SubmitRandomBatch(&server, 30, &rng);
+      const uint64_t before = server.version();
+      ASSERT_TRUE(server.ApplyPending().ok());
+      if (server.version() > before + 1) ++reorders;
+      Matrix oracle = cold_answer(server.snapshot()->MaterializeGraph());
+      {
+        std::lock_guard<std::mutex> lock(oracle_mu);
+        oracles.push_back(std::move(oracle));
+      }
+      ASSERT_TRUE(server.PublishTo(&engine).ok());
+    }
+  };
+  mutate();
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_GT(reorders, 10);
+  EXPECT_GT(reads.load(), 0);
+  EXPECT_EQ(torn.load(), 0);
+  // Every publish installed its states before any read could see it.
+  EXPECT_EQ(engine.cache().misses(), misses);
 }
 
 TEST(PropagationCacheTest, PutInvalidateGraphAndMetricsMirror) {

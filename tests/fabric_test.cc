@@ -13,8 +13,12 @@
 //  - shard-shared PropagationCache with tenant-scoped keys: no cross-tenant
 //    collisions, eviction accounting spans tenants (ISSUE 6 satellite);
 //  - dynamic-graph bridge: streamed mutations route to the owning shard
-//    only, and a published snapshot serves bitwise like StreamingServer.
+//    only, and a published snapshot serves bitwise like StreamingServer;
+//    a streamed tenant refuses to roll out a family without a stage plan,
+//    frees a retired snapshot with its last holder, and serves every
+//    publish from the cache while readers run.
 // The suite runs under TSan and ASan in CI.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -24,6 +28,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fabric/fabric.h"
@@ -641,6 +646,165 @@ TEST(FabricTest, MutationsRouteToOwningShardOnly) {
     ASSERT_TRUE(result.status.ok());
     EXPECT_TRUE(RowBitwiseEqual(result.probs, beta_before.value(), node));
   }
+}
+
+// A streamed tenant whose engine serves a published snapshot.
+struct StreamedTenant {
+  Graph graph;
+  std::unique_ptr<serve::ModelRegistry> registry;
+  std::unique_ptr<ServingFabric> fabric;
+  std::unique_ptr<dyn::StreamingServer> stream;
+};
+
+// Tenant "live" on a 2-shard fabric with `models` loaded, a stream for the
+// first model attached, and the fleet pinned at that model's version.
+void SetUpStreamedTenant(uint64_t seed, int num_nodes,
+                         const std::vector<ModelFamily>& families,
+                         const std::string& dir, int batcher_threads,
+                         StreamedTenant* t) {
+  t->graph = SmallGraph(seed, num_nodes);
+  std::vector<serve::ServableModel> models;
+  for (size_t i = 0; i < families.size(); ++i) {
+    models.push_back(MakeServable(t->graph, static_cast<int>(i) + 1,
+                                  families[i], seed + i));
+  }
+  t->registry = RegistryWith(FreshDir(dir), models);
+  FabricOptions options;
+  options.num_shards = 2;
+  options.batcher = TestBatcher(batcher_threads);
+  t->fabric = std::make_unique<ServingFabric>(options);
+  ASSERT_TRUE(t->fabric->AddTenant("live", &t->graph, t->registry.get()).ok());
+  auto stream_or = dyn::StreamingServer::Create(t->graph, models[0]);
+  ASSERT_TRUE(stream_or.ok()) << stream_or.status().ToString();
+  t->stream = std::move(stream_or).value();
+  ASSERT_TRUE(t->fabric->AttachStream("live", t->stream.get()).ok());
+  ASSERT_TRUE(t->fabric->Rollout(1).ok());
+}
+
+// Queues up to `count` valid edits on tenant "live": feature updates and
+// inserts of edges absent from the latest snapshot (each pair at most once
+// per call, so the batch stays valid).
+void SubmitEdits(StreamedTenant* t, int count, Rng* rng) {
+  const std::shared_ptr<const dyn::GraphSnapshot> snap = t->stream->snapshot();
+  const int n = snap->num_nodes();
+  std::set<std::pair<int, int>> added;
+  std::vector<double> features(static_cast<size_t>(t->graph.feature_dim()));
+  for (int i = 0; i < count; ++i) {
+    const int u = static_cast<int>(rng->UniformInt(n));
+    const int v = static_cast<int>(rng->UniformInt(n));
+    dyn::Mutation m;
+    if (i % 2 == 0 || u == v || snap->HasEdge(u, v) ||
+        !added.insert({std::min(u, v), std::max(u, v)}).second) {
+      for (double& x : features) x = rng->Normal();
+      m = dyn::Mutation::UpdateFeatures(u, features);
+    } else {
+      m = dyn::Mutation::AddEdge(u, v);
+    }
+    ASSERT_TRUE(t->fabric->SubmitMutation("live", std::move(m)).ok());
+  }
+}
+
+TEST(FabricTest, RolloutOfUnplannedFamilyOntoStreamedTenantIsRefused) {
+  StreamedTenant t;
+  ASSERT_NO_FATAL_FAILURE(SetUpStreamedTenant(
+      97, 48, {ModelFamily::kGcn, ModelFamily::kAppnp}, "fabric_dyn_appnp", 1,
+      &t));
+  Rng rng(5);
+  SubmitEdits(&t, 1, &rng);  // one feature update
+  ASSERT_TRUE(t.fabric->PublishStream("live").ok());
+
+  // The tenant now serves a snapshot, which only stage-planned families
+  // can run on; APPNP fails the prepare phase and nothing flips.
+  Status refused = t.fabric->Rollout(2);
+  EXPECT_EQ(refused.code(), Status::Code::kInvalidArgument)
+      << refused.ToString();
+  EXPECT_EQ(t.fabric->pinned_version(), 1);
+  serve::QueryResult result = t.fabric->QueryTenant("live", 4).get();
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(result.served_version, 1);
+  auto expected = t.stream->PredictNodes({4});
+  ASSERT_TRUE(expected.ok());
+  EXPECT_TRUE(RowBitwiseEqual(result.probs, expected.value(), 0));
+}
+
+TEST(FabricTest, RetiredSnapshotIsFreedWithItsLastHolder) {
+  StreamedTenant t;
+  ASSERT_NO_FATAL_FAILURE(SetUpStreamedTenant(101, 48, {ModelFamily::kGcn},
+                                              "fabric_dyn_weak", 1, &t));
+  Rng rng(6);
+  SubmitEdits(&t, 4, &rng);
+  ASSERT_TRUE(t.fabric->PublishStream("live").ok());
+  std::weak_ptr<const dyn::GraphSnapshot> published = t.stream->snapshot();
+  ASSERT_TRUE(t.fabric->QueryTenant("live", 0).get().status.ok());
+
+  // The stream moves on; the engine still serves (and so holds) the
+  // published snapshot until the next publish retires it.
+  SubmitEdits(&t, 4, &rng);
+  ASSERT_TRUE(t.stream->ApplyPending().ok());
+  EXPECT_FALSE(published.expired());
+  EngineShard& shard = t.fabric->shard(t.fabric->ShardOfTenant("live"));
+  ASSERT_TRUE(shard.PublishStream("live").ok());
+  EXPECT_TRUE(published.expired());
+}
+
+TEST(FabricTest, LiveTenantServesEveryPublishFromTheCache) {
+  StreamedTenant t;
+  ASSERT_NO_FATAL_FAILURE(SetUpStreamedTenant(103, 64, {ModelFamily::kGcn},
+                                              "fabric_dyn_hits", 2, &t));
+  EngineShard& shard = t.fabric->shard(t.fabric->ShardOfTenant("live"));
+  serve::InferenceEngine* engine = shard.engine("live");
+  ASSERT_NE(engine, nullptr);
+  const std::shared_ptr<const serve::ServableModel> model =
+      t.registry->Version(1);
+  const int64_t misses = shard.cache().misses();  // Rollout warmed v1
+
+  // One reader goes through the router and batcher; the others call the
+  // tenant's engine in a tight loop, so reads land all around each flip.
+  std::atomic<bool> stop{false};
+  std::atomic<int> reads{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      int node = r;
+      do {
+        Status status;
+        if (r == 0) {
+          status = t.fabric->QueryTenant("live", node).get().status;
+        } else {
+          status = engine->PredictNodes(*model, {node}).status();
+        }
+        if (!status.ok()) {
+          // Stopping also releases the publisher's wait below.
+          ADD_FAILURE() << status.ToString();
+          stop.store(true);
+          return;
+        }
+        node = (node + 7) % t.graph.num_nodes();
+        reads.fetch_add(1);
+      } while (!stop.load());
+    });
+  }
+  // Publishes interleave with reads: each waits for a few answers first.
+  // The loop runs in a lambda so a failed assertion still joins readers.
+  auto publish_all = [&] {
+    Rng rng(7);
+    for (int publish = 0; publish < 20; ++publish) {
+      for (const int seen = reads.load();
+           reads.load() < seen + 3 && !stop.load();) {
+        std::this_thread::yield();
+      }
+      SubmitEdits(&t, 6, &rng);
+      ASSERT_TRUE(t.fabric->PublishStream("live").ok());
+    }
+  };
+  publish_all();
+  stop.store(true);
+  for (std::thread& thread : readers) thread.join();
+  EXPECT_EQ(t.stream->version(), 20u);
+  EXPECT_GT(reads.load(), 0);
+  // Every publish installed its states before any query could resolve the
+  // new generation, so no query ever recomputed a forward.
+  EXPECT_EQ(shard.cache().misses(), misses);
 }
 
 }  // namespace
