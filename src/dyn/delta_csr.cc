@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "kernels/kernel_ops.h"
 #include "obs/trace.h"
 #include "util/thread_pool.h"
 
@@ -10,16 +11,14 @@ namespace ahg::dyn {
 
 namespace {
 
-// The one row kernel every DeltaCsr SpMM variant uses: accumulate row
-// entries in ascending column order, dense columns innermost — the same
-// order as SparseMatrix::Spmm, so products agree bitwise row by row.
-inline void AccumulateRow(const DeltaCsr::RowRef& row, const Matrix& x,
-                          double* yrow) {
-  for (int64_t e = 0; e < row.nnz; ++e) {
-    const double v = row.vals[e];
-    const double* xrow = x.Row(row.cols[e]);
-    for (int c = 0; c < x.cols(); ++c) yrow[c] += v * xrow[c];
-  }
+// The one row kernel every DeltaCsr SpMM variant uses: the active tier's
+// spmm_row, the kernel SparseMatrix::Spmm runs. Each output element sums
+// the row's entries in stored order from +0.0, without FMA, so products
+// agree bitwise with SparseMatrix::Spmm row by row. Writes all of yrow.
+inline void SpmmRow(const kernels::TierOps& ops, const DeltaCsr::RowRef& row,
+                    const Matrix& x, double* yrow) {
+  ops.spmm_row(/*cblock=*/0, row.vals, row.cols, row.nnz, x.data(), x.cols(),
+               x.cols(), yrow);
 }
 
 }  // namespace
@@ -76,12 +75,13 @@ void DeltaCsr::Grow(int rows, int cols) {
 Matrix DeltaCsr::Spmm(const Matrix& x) const {
   AHG_CHECK_EQ(x.rows(), cols_);
   AHG_TRACE_SPAN_ARG("dyn/delta_spmm", nnz_ * x.cols());
-  Matrix y(rows_, x.cols());
+  Matrix y = Matrix::Uninitialized(rows_, x.cols());
+  const kernels::TierOps& ops = kernels::ActiveOps();
   const int64_t work_per_row =
       rows_ > 0 ? std::max<int64_t>(1, nnz_ / rows_) * x.cols() : 1;
   ParallelForChunked(rows_, work_per_row, [&](int64_t begin, int64_t end) {
     for (int64_t r = begin; r < end; ++r) {
-      AccumulateRow(Row(static_cast<int>(r)), x, y.Row(static_cast<int>(r)));
+      SpmmRow(ops, Row(static_cast<int>(r)), x, y.Row(static_cast<int>(r)));
     }
   });
   return y;
@@ -92,7 +92,8 @@ Matrix DeltaCsr::SpmmRows(const std::vector<int>& rows,
   AHG_CHECK_EQ(x.rows(), cols_);
   AHG_TRACE_SPAN_ARG("dyn/delta_spmm_rows",
                      static_cast<int64_t>(rows.size()) * x.cols());
-  Matrix y(static_cast<int>(rows.size()), x.cols());
+  Matrix y = Matrix::Uninitialized(static_cast<int>(rows.size()), x.cols());
+  const kernels::TierOps& ops = kernels::ActiveOps();
   const int64_t work_per_row =
       rows_ > 0 ? std::max<int64_t>(1, nnz_ / rows_) * x.cols() : 1;
   ParallelForChunked(static_cast<int64_t>(rows.size()), work_per_row,
@@ -100,7 +101,7 @@ Matrix DeltaCsr::SpmmRows(const std::vector<int>& rows,
     for (int64_t i = begin; i < end; ++i) {
       const int r = rows[i];
       AHG_CHECK(r >= 0 && r < rows_);
-      AccumulateRow(Row(r), x, y.Row(static_cast<int>(i)));
+      SpmmRow(ops, Row(r), x, y.Row(static_cast<int>(i)));
     }
   });
   return y;

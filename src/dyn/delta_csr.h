@@ -9,13 +9,13 @@
 // full CSR. AddNode grows rows() past the base; such rows are empty until
 // overridden.
 //
-// SpMM determinism: Spmm and SpmmRows funnel every row through the same
-// AccumulateRow kernel (entries in ascending column order, dense columns
-// innermost), so a row-subset product is bitwise identical to the
-// corresponding rows of the full product, and both match
-// SparseMatrix::Spmm on the materialized matrix. This is the property the
-// incremental-refresh oracle (incremental == cold full recompute) rests
-// on.
+// SpMM determinism: Spmm and SpmmRows funnel every row through the active
+// tier's spmm_row, the row kernel SparseMatrix::Spmm runs (entries in
+// stored order, each element summed from +0.0), so a row-subset product is
+// bitwise identical to the corresponding rows of the full product, and
+// both match SparseMatrix::Spmm on the materialized matrix. This is the
+// property the incremental-refresh oracle (incremental == cold full
+// recompute) rests on.
 //
 // When the overlay outgrows kCompactionFraction of the rows, Compact()
 // folds everything into a new base — the COW savings are gone at that

@@ -11,25 +11,27 @@ namespace ahg::partition {
 
 HaloExchange::HaloExchange(const PartitionPlan* plan) : plan_(plan) {
   AHG_CHECK(plan != nullptr);
-  Rebuild();
-}
-
-void HaloExchange::Rebuild() {
   const int P = plan_->num_parts;
   routes_.assign(P, std::vector<Route>(P));
   mailbox_.assign(P, std::vector<Mail>(P));
-  // Route (src -> dst): dst's halo globals owned by src. halo_globals is
-  // ascending, so every route list is ascending global by construction.
   for (int dst = 0; dst < P; ++dst) {
-    const PartitionPlan::Part& consumer = plan_->parts[dst];
-    for (int g : consumer.halo_globals) {
-      const int src = plan_->part_of[g];
-      Route& route = routes_[src][dst];
-      route.src_locals.push_back(plan_->parts[src].local_of.at(g));
-      route.dst_locals.push_back(consumer.local_of.at(g));
-      route.globals.push_back(g);
-    }
+    for (int g : plan_->parts[dst].halo_globals) AddHalo(dst, g);
   }
+}
+
+void HaloExchange::AddHalo(int dst, int g) {
+  const int src = plan_->part_of[g];
+  AHG_CHECK_NE(src, dst);
+  Route& route = routes_[src][dst];
+  const auto at =
+      std::lower_bound(route.globals.begin(), route.globals.end(), g);
+  AHG_CHECK(at == route.globals.end() || *at != g);
+  const auto i = at - route.globals.begin();
+  route.globals.insert(at, g);
+  route.src_locals.insert(route.src_locals.begin() + i,
+                          plan_->parts[src].local_of.at(g));
+  route.dst_locals.insert(route.dst_locals.begin() + i,
+                          plan_->parts[dst].local_of.at(g));
 }
 
 void HaloExchange::PostBoundary(int p, const Matrix& state,

@@ -28,15 +28,19 @@ namespace ahg::partition {
 class HaloExchange {
  public:
   // `plan` must outlive the exchange. Routes are derived from the plan's
-  // halo lists; call Rebuild() after the plan mutates.
+  // halo lists, one AddHalo per halo node.
   explicit HaloExchange(const PartitionPlan* plan);
 
-  // Recomputes all routes from the current plan (after a mutation batch
-  // changed halo sets or appended nodes).
-  void Rebuild();
+  // Routes global node `g` — owned by plan part_of[g], already in the
+  // local universe of both that part and part `dst` — into dst's halo row.
+  // Sorted insertion keeps every route ascending by global id; existing
+  // routes never move, since local ids are fixed once assigned (plan.h).
+  // A mutation batch calls this once per new halo node.
+  void AddHalo(int dst, int g);
 
-  // Gathers the boundary rows of part p's state (n_local x dim) — the owned
-  // rows some other part holds as halo — into that consumer's mailbox.
+  // Gathers the boundary rows of part p's state (a row per local id, or
+  // more) — the owned rows some other part holds as halo — into that
+  // consumer's mailbox.
   // With `dirty_globals` (sorted ascending), only boundary rows whose
   // global id is in it are posted — the incremental-refresh path.
   void PostBoundary(int p, const Matrix& state,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -13,6 +14,10 @@
 namespace ahg::partition {
 
 namespace {
+
+// Least number of rows a part's capacity grows by once its locals outgrow
+// it; the step is otherwise 1/16 of the part, so growth copies amortize.
+constexpr int kMinCapacityStep = 256;
 
 std::vector<int> SortedUnion(const std::vector<int>& a,
                              const std::vector<int>& b) {
@@ -127,7 +132,7 @@ void PartitionedEngine::RunStagesLocked(
     }
     for (int p = 0; p < P; ++p) {
       const PartitionPlan::Part& part = plan_.parts[p];
-      std::vector<int> rows;  // owned dirty rows, ascending local == global
+      std::vector<int> rows;  // owned dirty rows, in dirty (global) order
       if (dirty != nullptr) {
         for (int g : (*dirty)[s]) {
           if (plan_.part_of[g] == p) rows.push_back(part.local_of.at(g));
@@ -144,11 +149,22 @@ void PartitionedEngine::RecomputeLocked(VersionState* vs) {
   vs->states.assign(plan_.num_parts, {});
   for (int p = 0; p < plan_.num_parts; ++p) {
     for (size_t s = 0; s < vs->stages.size(); ++s) {
-      vs->states[p].emplace_back(plan_.parts[p].num_local(),
-                                 vs->config.hidden_dim);
+      vs->states[p].emplace_back(feats_[p].rows(), vs->config.hidden_dim);
     }
   }
   RunStagesLocked(vs, /*dirty=*/nullptr, /*forced=*/{});
+}
+
+void PartitionedEngine::ReserveRowsLocked(int p) {
+  const int n_local = plan_.parts[p].num_local();
+  if (n_local <= feats_[p].rows()) return;
+  const int capacity = n_local + std::max(kMinCapacityStep, n_local / 16);
+  plan_.parts[p].adj.Grow(capacity, capacity);
+  feats_[p] = GrowRows(feats_[p], capacity);
+  for (auto& [version, vs] : versions_) {
+    (void)version;
+    for (Matrix& state : vs.states[p]) state = GrowRows(state, capacity);
+  }
 }
 
 Status PartitionedEngine::WarmLocked(const serve::ServableModel& model) {
@@ -271,152 +287,60 @@ Status PartitionedEngine::ApplyDelta(const dyn::GraphSnapshot& snap,
       if (plan_.parts[p].local_of.count(c) == 0) additions[p].push_back(c);
     }
   }
-  bool structural = false;
   for (int p = 0; p < P; ++p) {
     std::sort(additions[p].begin(), additions[p].end());
     additions[p].erase(std::unique(additions[p].begin(), additions[p].end()),
                        additions[p].end());
-    if (!additions[p].empty()) structural = true;
     for (int g : additions[p]) {
       if (plan_.part_of[g] != p) new_halo[p].push_back(g);
     }
   }
 
-  // 3. Apply the structural change per part: append when every addition is
-  // larger than the current largest local (keeps the ascending-global local
-  // numbering without renumbering); otherwise rebuild the part — re-merge
-  // the local universe and permute every resident matrix by global id.
-  std::vector<uint8_t> rebuilt(P, 0);
+  // 3. Append every addition at the tail of its part. Local ids are fixed
+  // once assigned (plan.h), so existing adjacency, feature and state rows
+  // and every exchange route stay where they are. Additions ascend global
+  // id: appended owned nodes (new, larger than every existing id) keep
+  // owned_locals ascending, and new halo merges into halo_globals.
+  auto rank_of_global = [&](int g) {
+    return perm_ != nullptr && g < perm_->num_nodes() ? perm_->to_external[g]
+                                                      : g;
+  };
   for (int p = 0; p < P; ++p) {
     if (additions[p].empty()) continue;
     PartitionPlan::Part& part = plan_.parts[p];
-    const bool append_only =
-        part.locals.empty() || additions[p].front() > part.locals.back();
-    if (append_only) {
-      for (int g : additions[p]) {
-        const int l = part.num_local();
-        part.locals.push_back(g);
-        part.local_of.emplace(g, l);
-        const bool owned = plan_.part_of[g] == p;
-        part.owned.push_back(owned ? 1 : 0);
-        if (owned) {
-          part.owned_locals.push_back(l);
-        } else {
-          part.halo_globals.push_back(g);
-        }
-      }
-      const int n_local = part.num_local();
-      part.adj.Grow(n_local, n_local);
-      feats_[p] = GrowRows(feats_[p], n_local);
-      for (auto& [version, vs] : versions_) {
-        (void)version;
-        for (Matrix& state : vs.states[p]) state = GrowRows(state, n_local);
-      }
-      for (int g : additions[p]) {
-        std::memcpy(feats_[p].Row(part.local_of.at(g)), snap.FeatureRow(g),
-                    static_cast<size_t>(feature_dim_) * sizeof(double));
-      }
-      continue;
-    }
-
-    // Rebuild path: a new halo node falls between existing locals, so the
-    // whole local id space shifts. Old rows are carried over by global id;
-    // rows new to the part are zero and get their values from the dirty
-    // recompute (owned) or the forced halo delivery (halo) below.
-    rebuilt[p] = 1;
-    const std::vector<int> old_locals = std::move(part.locals);
-    const std::unordered_map<int, int> old_local_of = std::move(part.local_of);
-    part.locals.clear();
-    std::merge(old_locals.begin(), old_locals.end(), additions[p].begin(),
-               additions[p].end(), std::back_inserter(part.locals));
-    const int n_local = part.num_local();
-    part.local_of = {};
-    part.local_of.reserve(n_local);
-    part.owned.assign(n_local, 0);
-    part.owned_locals.clear();
-    part.halo_globals.clear();
-    for (int l = 0; l < n_local; ++l) {
-      const int g = part.locals[l];
+    auto rank = std::make_shared<std::vector<int>>(*part.adj.col_rank());
+    for (int g : additions[p]) {
+      const int l = part.num_local();
+      part.locals.push_back(g);
       part.local_of.emplace(g, l);
-      if (plan_.part_of[g] == p) {
-        part.owned[l] = 1;
-        part.owned_locals.push_back(l);
-      } else {
-        part.halo_globals.push_back(g);
-      }
+      rank->push_back(rank_of_global(g));
+      const bool owned = plan_.part_of[g] == p;
+      part.owned.push_back(owned ? 1 : 0);
+      if (owned) part.owned_locals.push_back(l);
     }
-    // Entry order copied as stored (not re-sorted by local id), preserving
-    // the SpMM accumulation order on plain and reordered graphs alike.
-    std::vector<int64_t> row_ptr(n_local + 1, 0);
-    for (int l : part.owned_locals) {
-      row_ptr[l + 1] = gadj.Row(part.locals[l]).nnz;
-    }
-    for (int l = 0; l < n_local; ++l) row_ptr[l + 1] += row_ptr[l];
-    std::vector<int> csr_cols(row_ptr[n_local]);
-    std::vector<double> csr_vals(row_ptr[n_local]);
-    for (int l : part.owned_locals) {
-      const dyn::DeltaCsr::RowRef row = gadj.Row(part.locals[l]);
-      int64_t at = row_ptr[l];
-      for (int64_t e = 0; e < row.nnz; ++e, ++at) {
-        csr_cols[at] = part.local_of.at(row.cols[e]);
-        csr_vals[at] = row.vals[e];
-      }
-    }
-    part.adj = dyn::DeltaCsr(std::make_shared<const SparseMatrix>(
-        SparseMatrix::FromCsrParts(n_local, n_local, std::move(row_ptr),
-                                   std::move(csr_cols),
-                                   std::move(csr_vals))));
-    Matrix new_feats(n_local, feature_dim_);
-    for (int l = 0; l < n_local; ++l) {
-      const int g = part.locals[l];
-      auto it = old_local_of.find(g);
-      const double* src =
-          it != old_local_of.end() ? feats_[p].Row(it->second)
-                                   : snap.FeatureRow(g);
-      std::memcpy(new_feats.Row(l), src,
+    part.adj.SetColRank(std::move(rank));
+    const auto halo_mid = part.halo_globals.insert(
+        part.halo_globals.end(), new_halo[p].begin(), new_halo[p].end());
+    std::inplace_merge(part.halo_globals.begin(), halo_mid,
+                       part.halo_globals.end());
+    plan_.halo_nodes_total += static_cast<int64_t>(new_halo[p].size());
+    ReserveRowsLocked(p);
+    for (int g : additions[p]) {
+      std::memcpy(feats_[p].Row(part.local_of.at(g)), snap.FeatureRow(g),
                   static_cast<size_t>(feature_dim_) * sizeof(double));
     }
-    feats_[p] = std::move(new_feats);
-    for (auto& [version, vs] : versions_) {
-      (void)version;
-      for (Matrix& state : vs.states[p]) {
-        Matrix permuted(n_local, state.cols());
-        for (int l = 0; l < n_local; ++l) {
-          auto it = old_local_of.find(part.locals[l]);
-          if (it == old_local_of.end()) continue;  // new row, stays zero
-          std::memcpy(permuted.Row(l), state.Row(it->second),
-                      static_cast<size_t>(state.cols()) * sizeof(double));
-        }
-        state = std::move(permuted);
-      }
-    }
+  }
+  // Routes read both ends' local ids, so they go in once every part holds
+  // its additions (a new halo node may be appended on its owner too).
+  for (int p = 0; p < P; ++p) {
+    for (int g : new_halo[p]) exchange_.AddHalo(p, g);
   }
 
-  // Parts whose local universe changed need a fresh column-rank vector so
-  // DeltaCsr's ascending-rank invariant keeps holding locally (rank of
-  // local l = external id of its global; identity when unreordered).
-  if (perm_ != nullptr) {
-    auto rank_of_global = [&](int g) {
-      return g < perm_->num_nodes() ? perm_->to_external[g] : g;
-    };
-    for (int p = 0; p < P; ++p) {
-      if (additions[p].empty()) continue;
-      PartitionPlan::Part& part = plan_.parts[p];
-      auto rank = std::make_shared<std::vector<int>>(part.num_local());
-      for (int l = 0; l < part.num_local(); ++l) {
-        (*rank)[l] = rank_of_global(part.locals[l]);
-      }
-      part.adj.SetColRank(std::move(rank));
-    }
-  }
-
-  // 4. Patch dirty adjacency rows on their owning part (rebuilt parts are
-  // already fresh). The override copies the global row's stored entry order
-  // (ascending rank), which column remapping preserves.
+  // 4. Patch dirty adjacency rows on their owning part. The override copies
+  // the global row's stored entry order (ascending rank), which column
+  // remapping preserves.
   for (int g : delta.dirty_adj_rows) {
-    const int p = plan_.part_of[g];
-    if (rebuilt[p]) continue;
-    PartitionPlan::Part& part = plan_.parts[p];
+    PartitionPlan::Part& part = plan_.parts[plan_.part_of[g]];
     const int l = part.local_of.at(g);
     const dyn::DeltaCsr::RowRef row = gadj.Row(g);
     std::vector<int> cols(row.nnz);
@@ -436,14 +360,6 @@ Status PartitionedEngine::ApplyDelta(const dyn::GraphSnapshot& snap,
       std::memcpy(feats_[p].Row(it->second), snap.FeatureRow(g),
                   static_cast<size_t>(feature_dim_) * sizeof(double));
     }
-  }
-
-  if (structural) {
-    plan_.halo_nodes_total = 0;
-    for (const PartitionPlan::Part& part : plan_.parts) {
-      plan_.halo_nodes_total += part.num_halo();
-    }
-    exchange_.Rebuild();
   }
 
   // 6. Forced halo set: globals some part now holds as halo but whose

@@ -10,12 +10,12 @@
 // owned rows with DeltaCsr::SpmmRows + dyn::DenseLayerTransform. Right
 // before a hop reads state s - 1, that state's boundary rows cross the
 // HaloExchange in a fixed merge order; the last state is never exchanged,
-// since only owned rows of it are read. Because each part's local universe
-// is numbered in ascending global id (see plan.h), local adjacency rows
-// preserve the global entry order, the subset-exact kernels reproduce the
-// global rows bitwise, and a query answered here is memcmp-identical to the
-// lone engine — the conformance matrix partition_test asserts across
-// synthetic families, part counts, and thread counts.
+// since only owned rows of it are read. Because each local adjacency row
+// copies the global row's stored entry order (see plan.h), the
+// subset-exact kernels reproduce the global rows bitwise, and a query
+// answered here is memcmp-identical to the lone engine — the conformance
+// matrix partition_test asserts across synthetic families, part counts,
+// and thread counts.
 //
 // Models without a stage plan (dyn::IncrementalPropagator::Supports) are
 // rejected with InvalidArgument — callers fall back to the replicated path.
@@ -23,11 +23,18 @@
 // Dynamic graphs: ApplyDelta routes a mutation batch through the plan —
 // adjacency rows are patched copy-on-write on their owning part, new nodes
 // are appended to the least-loaded part, new halo dependencies are
-// materialized, and each resident model version is refreshed over its
-// per-stage dirty sets (dyn::StageDirtyRows), exchanging only the dirty
-// boundary rows a hop reads. Orphaned halo rows (references removed by edge
-// deletions) are kept; they are unused and merely occupy their row until a
-// rebuild.
+// appended at the tail of the part's locals, and each resident model
+// version is refreshed over its per-stage dirty sets (dyn::StageDirtyRows),
+// exchanging only the dirty boundary rows a hop reads. No existing row or
+// route is copied or moved, apart from an occasional capacity growth. Orphaned halo rows (references removed by
+// edge deletions) are kept; they are unused and merely occupy their row.
+//
+// Capacity rows: each part's features, adjacency and every warmed state
+// have the same row count, a capacity of at least num_local(). Appends
+// fill it; past it, all of them grow by max(256, n_local / 16) rows, so a
+// batch rarely copies a whole part. Rows in [num_local, capacity) belong
+// to no node: empty adjacency, zero feature and state rows, neither owned
+// nor halo.
 #ifndef AUTOHENS_PARTITION_PARTITIONED_ENGINE_H_
 #define AUTOHENS_PARTITION_PARTITIONED_ENGINE_H_
 
@@ -81,7 +88,10 @@ class PartitionedEngine : public serve::NodePredictor {
   Status ApplyDelta(const dyn::GraphSnapshot& snap,
                     const dyn::BatchDelta& delta);
 
+  // The plan and the halo routes as of the last ApplyDelta. Unsynchronized:
+  // read them only while no ApplyDelta runs (tests, tools).
   const PartitionPlan& plan() const { return plan_; }
+  const HaloExchange& exchange() const { return exchange_; }
   int num_parts() const { return plan_.num_parts; }
   // Snapshot version the parts currently reflect (0 = the Create graph).
   uint64_t snapshot_version() const;
@@ -105,8 +115,12 @@ class PartitionedEngine : public serve::NodePredictor {
   bool HasHalo() const;
 
   Status WarmLocked(const serve::ServableModel& model);
-  // Recomputes every stage of `vs` from the current features/adjacency.
+  // Recomputes every stage of `vs` from the current features/adjacency,
+  // into zeroed states at each part's capacity.
   void RecomputeLocked(VersionState* vs);
+  // Grows part p's capacity rows (features, adjacency, warmed states) when
+  // its locals have outgrown them; see the file comment.
+  void ReserveRowsLocked(int p);
   // Runs the stages of `vs` over each part's owned rows: all of them when
   // `dirty` is null, else the owned rows of dirty[s] (global ids), with
   // only dirty[s - 1] ∪ `forced` posted before a hop.
@@ -129,7 +143,8 @@ class PartitionedEngine : public serve::NodePredictor {
   int feature_dim_ = 0;
   int num_classes_ = 0;
   uint64_t snapshot_version_ = 0;
-  std::vector<Matrix> feats_;  // [part] n_local x feature_dim, halo included
+  // [part] capacity x feature_dim, halo included; capacity rows are zero.
+  std::vector<Matrix> feats_;
   std::map<int, VersionState> versions_;
 };
 

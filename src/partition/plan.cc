@@ -88,15 +88,17 @@ PartitionPlan Materialize(const Graph& graph, std::vector<int> part_of,
     part.adj = dyn::DeltaCsr(std::make_shared<const SparseMatrix>(
         SparseMatrix::FromCsrParts(n_local, n_local, std::move(row_ptr),
                                    std::move(col_idx), std::move(values))));
-    if (graph.permutation() != nullptr) {
-      // Local column rank = external id of the local's global node, so
-      // DeltaCsr's ascending-rank invariant keeps holding part-locally.
-      auto rank = std::make_shared<std::vector<int>>(n_local);
-      for (int l = 0; l < n_local; ++l) {
-        (*rank)[l] = graph.permutation()->to_external[part.locals[l]];
-      }
-      part.adj.SetColRank(std::move(rank));
+    // Local column rank = external id of the local's global node (the
+    // global id when unreordered), so DeltaCsr's ascending-rank invariant
+    // keeps holding part-locally once appended locals break global order.
+    auto rank = std::make_shared<std::vector<int>>(n_local);
+    for (int l = 0; l < n_local; ++l) {
+      const int g = part.locals[l];
+      (*rank)[l] = graph.permutation() != nullptr
+                       ? graph.permutation()->to_external[g]
+                       : g;
     }
+    part.adj.SetColRank(std::move(rank));
   }
   return plan;
 }

@@ -3,18 +3,23 @@
 //
 // Per part, the plan holds a local node universe and a local CSR:
 //  - locals: the part's owned nodes plus its halo (ghost) nodes — every
-//    off-part node referenced by an owned node's adjacency row — listed in
-//    ascending GLOBAL id. Local id = rank in this list. This "merged
-//    global-order" numbering is the key bitwise-conformance decision:
-//    ascending-local equals ascending-global, so a local adjacency row
-//    lists exactly the entries of the global row in the same order, and
-//    the per-row SpMM kernels (fixed ascending-entry accumulation) produce
-//    owned rows bitwise identical to the lone-engine product.
+//    off-part node referenced by an owned node's adjacency row. Local id =
+//    position in this list, and a local id is fixed once assigned: the
+//    plan numbers owned ∪ halo in ascending GLOBAL id, and nodes a mutation
+//    batch adds later (PartitionedEngine::ApplyDelta) take the next ids at
+//    the tail. Bitwise conformance does not rest on the local order: each
+//    owned local row copies the global row's STORED entry order with
+//    columns remapped, and the per-row SpMM kernels (fixed stored-order
+//    accumulation) then produce owned rows bitwise identical to the
+//    lone-engine product.
 //  - adj: an n_local x n_local DeltaCsr. Owned rows replicate the global
 //    kSymNorm rows with columns remapped to local ids; halo rows are empty
 //    (a part never computes a halo node — it receives its hidden states
 //    through the HaloExchange). DeltaCsr so dynamic mutation batches patch
-//    individual rows copy-on-write, same as the single-engine path.
+//    individual rows copy-on-write, same as the single-engine path. Every
+//    part carries a column rank — the external id of locals[l], or its
+//    global id on an unreordered graph — so DeltaCsr's ascending-rank row
+//    invariant holds although local order need not be global order.
 //
 // Plans are deterministic byte-for-byte: Build runs the seeded partitioner
 // (single-threaded) and every derived structure is assembled by sorted
@@ -37,17 +42,22 @@ namespace ahg::partition {
 
 struct PartitionPlan {
   struct Part {
-    // Local -> global id, ascending; locals.size() = n_local.
+    // Local -> global id; locals.size() = n_local. Ascending global id as
+    // built; later additions are appended, so an earlier locals list is
+    // always a prefix of a later one.
     std::vector<int> locals;
     // owned[l] != 0 iff locals[l] is owned (not halo) here.
     std::vector<uint8_t> owned;
-    // Local ids of owned nodes, ascending (the rows this part computes).
+    // Local ids of owned nodes, ascending in local AND global id (only new
+    // nodes, larger than every existing id, are appended as owned). These
+    // are the rows this part computes.
     std::vector<int> owned_locals;
-    // Global ids of halo nodes, ascending.
+    // Global ids of halo nodes, strictly ascending (sorted insertion).
     std::vector<int> halo_globals;
     // Global -> local for this part's universe only.
     std::unordered_map<int, int> local_of;
-    // n_local x n_local local adjacency (see file comment).
+    // n_local x n_local local adjacency as built (see file comment);
+    // PartitionedEngine grows it to the part's row capacity.
     dyn::DeltaCsr adj;
 
     int num_local() const { return static_cast<int>(locals.size()); }

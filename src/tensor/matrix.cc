@@ -510,10 +510,16 @@ void ScatterRows(const Matrix& src, const std::vector<int>& rows,
 
 Matrix GrowRows(const Matrix& src, int new_rows) {
   AHG_CHECK_GE(new_rows, src.rows());
-  Matrix out(new_rows, src.cols());
-  if (src.size() > 0) {
-    std::memcpy(out.data(), src.data(),
-                static_cast<size_t>(src.size()) * sizeof(double));
+  // Each byte is written once: the old rows are copied, only the new tail
+  // is zeroed (all-zero bytes are +0.0).
+  Matrix out = Matrix::Uninitialized(new_rows, src.cols());
+  const size_t old_bytes = static_cast<size_t>(src.size()) * sizeof(double);
+  const size_t tail_bytes =
+      static_cast<size_t>(out.size() - src.size()) * sizeof(double);
+  if (old_bytes > 0) std::memcpy(out.data(), src.data(), old_bytes);
+  if (tail_bytes > 0) {
+    std::memset(reinterpret_cast<char*>(out.data()) + old_bytes, 0,
+                tail_bytes);
   }
   return out;
 }

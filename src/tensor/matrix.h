@@ -133,7 +133,7 @@ void ScatterRows(const Matrix& src, const std::vector<int>& rows,
 
 // Copy of `src` with `new_rows` >= src.rows() rows; the appended tail is
 // zero-filled (dynamic graphs growing their feature / hidden matrices on
-// AddNode).
+// AddNode). Writes each byte once: old rows copied, only the tail zeroed.
 Matrix GrowRows(const Matrix& src, int new_rows);
 
 }  // namespace ahg

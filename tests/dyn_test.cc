@@ -11,9 +11,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -192,6 +194,54 @@ TEST(DeltaCsrTest, MatchesMaterializedSparseMatrixAfterOverrides) {
     for (int c = 0; c < x.cols(); ++c) x(r, c) = rng.Normal();
   }
   EXPECT_TRUE(BitwiseEqual(adj.Spmm(x), flat.Spmm(x)));
+}
+
+// Spmm and SpmmRows run the active tier's spmm_row, the kernel behind
+// SparseMatrix::Spmm, into uninitialized outputs: every output byte must
+// match the flat product, across register-block tails (widths 1..33),
+// overridden rows, grown rows (overridden and still empty), and ±0.0,
+// NaN and inf in both operands. CI also runs this with AHG_FORCE_SCALAR=1.
+TEST(DeltaCsrTest, SpmmMatchesSparseMatrixSpmmBitwiseOnSpecialValues) {
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  auto snap = GraphSnapshot::FromGraph(SmallGraph(17));
+  ASSERT_TRUE(snap.ok());
+  DeltaCsr adj = snap.value().adjacency();
+  const int n = adj.rows();
+  adj.Grow(n + 3, n + 3);
+  adj.OverrideRow(2, {0, 5, n + 1}, {-0.0, kInf, 0.5});
+  adj.OverrideRow(7, {1, 3}, {kNan, -1.25});
+  adj.OverrideRow(9, {}, {});
+  adj.OverrideRow(n, {4, 9, n + 2}, {0.0, -kInf, 2.0});  // grown row
+  // Row n + 1 is grown and never overridden: empty, so it sums to +0.0.
+  const SparseMatrix flat = adj.Materialize();
+  std::vector<int> rows;
+  for (int r = adj.rows() - 1; r >= 0; r -= 3) rows.push_back(r);
+  rows.push_back(n + 1);
+
+  Rng rng(29);
+  for (int width : {1, 3, 4, 7, 8, 33}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    Matrix x(adj.cols(), width);
+    for (int r = 0; r < x.rows(); ++r) {
+      for (int c = 0; c < width; ++c) x(r, c) = rng.Normal();
+    }
+    x(0, 0) = -0.0;
+    x(1, width - 1) = kNan;
+    x(3, 0) = kInf;
+    x(5, width / 2) = -kInf;
+    x(n + 2, 0) = -0.0;
+    const Matrix expected = flat.Spmm(x);
+    EXPECT_TRUE(BitwiseEqual(adj.Spmm(x), expected));
+    const Matrix subset = adj.SpmmRows(rows, x);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(std::memcmp(subset.Row(static_cast<int>(i)),
+                            expected.Row(rows[i]),
+                            static_cast<size_t>(width) * sizeof(double)),
+                0)
+          << "row " << rows[i];
+    }
+  }
 }
 
 TEST(SnapshotTest, Version0AdjacencyIsTheGraphsSymNormMatrix) {

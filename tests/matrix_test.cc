@@ -1,6 +1,8 @@
 #include "tensor/matrix.h"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "gtest/gtest.h"
 #include "tensor/alloc_tracker.h"
@@ -109,6 +111,42 @@ TEST(MatrixTest, AxpyInPlace) {
   Matrix a = Matrix::FromRows({{1, 1}});
   a.AxpyInPlace(2.0, Matrix::FromRows({{3, 4}}));
   EXPECT_TRUE(AllClose(a, Matrix::FromRows({{7, 9}}), 1e-12));
+}
+
+// GrowRows copies the old rows and zeroes only the tail. Sanitizer builds
+// fill Matrix::Uninitialized with NaN, so a tail row left unwritten fails
+// the +0.0 check there.
+TEST(MatrixTest, GrowRowsKeepsOldRowsAndZeroesTheTail) {
+  Rng rng(3);
+  Matrix src(5, 3);
+  for (int r = 0; r < src.rows(); ++r) {
+    for (int c = 0; c < src.cols(); ++c) src(r, c) = rng.Normal();
+  }
+  src(0, 0) = -0.0;
+  src(1, 1) = std::numeric_limits<double>::quiet_NaN();
+  src(2, 2) = -std::numeric_limits<double>::infinity();
+  const Matrix empty(0, 3);
+  const Matrix* const sources[] = {&src, &empty};
+  for (const Matrix* old : sources) {
+    for (int new_rows : {5, 6, 13}) {
+      const Matrix grown = GrowRows(*old, new_rows);
+      ASSERT_EQ(grown.rows(), new_rows);
+      ASSERT_EQ(grown.cols(), old->cols());
+      if (old->size() > 0) {
+        EXPECT_EQ(std::memcmp(grown.data(), old->data(),
+                              static_cast<size_t>(old->size()) *
+                                  sizeof(double)),
+                  0);
+      }
+      const double zero = 0.0;
+      for (int r = old->rows(); r < new_rows; ++r) {
+        for (int c = 0; c < grown.cols(); ++c) {
+          EXPECT_EQ(std::memcmp(grown.Row(r) + c, &zero, sizeof(double)), 0)
+              << "tail entry (" << r << ", " << c << ")";
+        }
+      }
+    }
+  }
 }
 
 TEST(AllocTrackerTest, TracksMatrixLifetime) {

@@ -13,23 +13,29 @@
 //    P in {1,2,4} x kernel threads in {1,4};
 //  - dynamic conformance: after streamed mutation batches ApplyDelta keeps
 //    every warmed version bitwise equal to a cold engine on the
-//    materialized snapshot graph;
+//    materialized snapshot graph; a long seeded stream, plain and
+//    RCM-reordered, also checks that local ids never move, halo lists
+//    stay sorted and the incrementally kept exchange equals a fresh one;
 //  - fabric integration: ServePartitioned serves bitwise like the
 //    replicated mode, survives a mid-traffic Rollout, routes mutations
 //    through the plan, and rejects unsupported model families.
 // The suite runs under TSan and ASan in CI.
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <future>
 #include <memory>
 #include <numeric>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dyn/mutation.h"
 #include "dyn/snapshot.h"
 #include "fabric/fabric.h"
+#include "graph/reorder.h"
 #include "graph/synthetic.h"
 #include "gtest/gtest.h"
 #include "nn/linear.h"
@@ -39,6 +45,7 @@
 #include "partition/plan.h"
 #include "serve/inference_engine.h"
 #include "serve/model_registry.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace ahg::partition {
@@ -427,6 +434,148 @@ TEST(PartitionDynamicTest, ApplyDeltaMatchesColdEngineOnMaterializedGraph) {
     stale.from_version = 0;
     EXPECT_EQ(engine.ApplyDelta(snap2, stale).code(),
               Status::Code::kInvalidArgument);
+  }
+}
+
+// A batch of `count` random valid mutations against `snap`, in the
+// benchmark's mix (40% edge insert, 30% edge delete, 20% feature update,
+// 10% node append), each edge pair at most once. Unweighted, so the cold
+// oracle on the materialized graph stays bitwise exact.
+std::vector<dyn::Mutation> RandomBatch(const dyn::GraphSnapshot& snap,
+                                       int count, Rng* rng) {
+  const int n = snap.num_nodes();
+  auto node = [&] { return static_cast<int>(rng->UniformInt(n)); };
+  std::set<std::pair<int, int>> pairs;
+  auto fresh_pair = [&](int u, int v) {
+    return pairs.insert({std::min(u, v), std::max(u, v)}).second;
+  };
+  std::vector<dyn::Mutation> batch;
+  while (static_cast<int>(batch.size()) < count) {
+    const int kind = static_cast<int>(rng->UniformInt(10));
+    if (kind < 4) {
+      const int u = node(), v = node();
+      if (u == v || snap.HasEdge(u, v) || !fresh_pair(u, v)) continue;
+      batch.push_back(dyn::Mutation::AddEdge(u, v));
+    } else if (kind < 7) {
+      const int u = node();
+      const dyn::DeltaCsr::RowRef row =
+          snap.raw_adjacency().Row(snap.ToInternal(u));
+      if (row.nnz == 0) continue;
+      const int v = snap.ToExternal(row.cols[rng->UniformInt(row.nnz)]);
+      if (!fresh_pair(u, v)) continue;
+      batch.push_back(dyn::Mutation::RemoveEdge(u, v));
+    } else {
+      std::vector<double> f(static_cast<size_t>(snap.feature_dim()));
+      for (double& x : f) x = rng->Normal();
+      batch.push_back(kind < 9 ? dyn::Mutation::UpdateFeatures(node(),
+                                                               std::move(f))
+                               : dyn::Mutation::AddNode(std::move(f), 0));
+    }
+  }
+  return batch;
+}
+
+// Delivers one full state through `exchange` and returns every part's
+// result: owned rows hold (global id, part), halo rows start at -1.
+std::vector<Matrix> DeliverFullState(const PartitionPlan& plan,
+                                     HaloExchange* exchange) {
+  std::vector<Matrix> states;
+  for (int p = 0; p < plan.num_parts; ++p) {
+    const PartitionPlan::Part& part = plan.parts[p];
+    Matrix state(part.num_local(), 2);
+    for (int l = 0; l < part.num_local(); ++l) {
+      state(l, 0) = part.owned[l] ? part.locals[l] : -1.0;
+      state(l, 1) = part.owned[l] ? p : -1.0;
+    }
+    states.push_back(std::move(state));
+  }
+  for (int p = 0; p < plan.num_parts; ++p) {
+    exchange->PostBoundary(p, states[p]);
+  }
+  for (int p = 0; p < plan.num_parts; ++p) {
+    exchange->DeliverHalo(p, &states[p]);
+  }
+  return states;
+}
+
+// A long seeded stream through ApplyDelta. After every batch: answers
+// memcmp a cold engine on the materialized graph; local ids never move
+// (each part's previous locals are a prefix of its new ones); halo lists
+// stay strictly ascending; and the exchange kept up by AddHalo delivers a
+// full state exactly like one freshly built over the same plan, filling
+// every halo row from its owner.
+TEST(PartitionDynamicTest, LongStreamKeepsLocalIdsAndMatchesColdEngine) {
+  const Graph base = Sbm(43, 160, 5, 4.0);
+  serve::ServableModel gcn = MakeServable(base, 1, ModelFamily::kGcn, 53);
+  serve::ServableModel sgc = MakeServable(base, 2, ModelFamily::kSgc, 54);
+  for (ReorderStrategy reorder : {ReorderStrategy::kNone,
+                                  ReorderStrategy::kRcm}) {
+    const Graph graph = ReorderGraph(base, reorder, 43);
+    for (int parts : {1, 2, 4}) {
+      SCOPED_TRACE(std::string(ReorderStrategyName(reorder)) + " parts " +
+                   std::to_string(parts));
+      auto engine_or = PartitionedEngine::Create(graph, parts);
+      ASSERT_TRUE(engine_or.ok());
+      PartitionedEngine& engine = *engine_or.value();
+      ASSERT_TRUE(engine.Warm(gcn).ok());
+      ASSERT_TRUE(engine.Warm(sgc).ok());
+      auto snap_or = dyn::GraphSnapshot::FromGraph(graph);
+      ASSERT_TRUE(snap_or.ok());
+      dyn::GraphSnapshot current = std::move(snap_or).value();
+      Rng rng(97 + parts);
+      for (int b = 0; b < 32; ++b) {
+        SCOPED_TRACE("batch " + std::to_string(b));
+        std::vector<std::vector<int>> before;
+        for (const PartitionPlan::Part& part : engine.plan().parts) {
+          before.push_back(part.locals);
+        }
+        const int count = 1 + static_cast<int>(rng.UniformInt(8));
+        auto next = current.Apply(RandomBatch(current, count, &rng));
+        ASSERT_TRUE(next.ok()) << next.status().ToString();
+        auto [applied, delta] = std::move(next).value();
+        ASSERT_TRUE(engine.ApplyDelta(applied, delta).ok());
+        current = std::move(applied);
+
+        const PartitionPlan& plan = engine.plan();
+        for (int p = 0; p < parts; ++p) {
+          const PartitionPlan::Part& part = plan.parts[p];
+          ASSERT_GE(part.locals.size(), before[p].size());
+          EXPECT_TRUE(std::equal(before[p].begin(), before[p].end(),
+                                 part.locals.begin()))
+              << "part " << p << " renumbered its locals";
+          for (int i = 1; i < part.num_halo(); ++i) {
+            EXPECT_LT(part.halo_globals[i - 1], part.halo_globals[i])
+                << "part " << p;
+          }
+        }
+        HaloExchange kept = engine.exchange();
+        HaloExchange fresh(&plan);
+        const std::vector<Matrix> got = DeliverFullState(plan, &kept);
+        const std::vector<Matrix> want = DeliverFullState(plan, &fresh);
+        for (int p = 0; p < parts; ++p) {
+          EXPECT_TRUE(MatricesBitwiseEqual(got[p], want[p])) << "part " << p;
+          const PartitionPlan::Part& part = plan.parts[p];
+          for (int g : part.halo_globals) {
+            const int l = part.local_of.at(g);
+            EXPECT_EQ(got[p](l, 0), g);
+            EXPECT_EQ(got[p](l, 1), plan.part_of[g]);
+          }
+        }
+
+        Graph rebuilt = current.MaterializeGraph();
+        serve::InferenceEngine reference(&rebuilt, serve::EngineOptions{});
+        for (const serve::ServableModel* model : {&gcn, &sgc}) {
+          auto expected = reference.PredictAll(*model);
+          ASSERT_TRUE(expected.ok());
+          auto answered =
+              engine.PredictNodes(*model, AllNodes(rebuilt.num_nodes()));
+          ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+          ASSERT_TRUE(
+              MatricesBitwiseEqual(answered.value(), expected.value()))
+              << "version " << model->version;
+        }
+      }
+    }
   }
 }
 
